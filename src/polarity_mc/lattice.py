@@ -12,7 +12,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple
 
-from .model import Concept, LEModel, Polarity, rel_preimage
+from .model import Concept, LEModel, Polarity, preimage_mask
 
 
 class CapExceeded(ValueError):
@@ -97,40 +97,42 @@ def concept_lattice(polarity: Polarity, cap: int = LATTICE_CAP) -> ConceptLattic
 
     Extents are exactly the intersections of attribute columns (the empty
     intersection giving A), so one pass that intersects the running family
-    with each column enumerates them all.
+    with each column enumerates them all. Intents are closed under
+    intersection too, so the join of two concepts is the concept whose
+    intent is the intersection of theirs.
     """
     if len(polarity.objects) + len(polarity.attributes) > cap:
         raise CapExceeded(
             f"|A| + |X| = {len(polarity.objects) + len(polarity.attributes)} "
             f"exceeds the lattice cap {cap}")
-    extents = {frozenset(polarity.objects)}
-    for x in polarity.attributes:
-        col = polarity.down([x])
+    bits = polarity.bits
+    objs, attrs = bits.objs, bits.attrs
+    extents = {objs.full}
+    for col in bits.i_cols:
         extents |= {e & col for e in extents}
-    ordered = sorted(extents, key=lambda e: (len(e), tuple(sorted(e))))
-    concepts = tuple(Concept(e, polarity.up(e)) for e in ordered)
-    index = {c.extent: i for i, c in enumerate(concepts)}
-    meets, joins = [], []
-    for c in concepts:
-        meet_row, join_row = [], []
-        for d in concepts:
-            meet_row.append(index[c.extent & d.extent])
-            join_row.append(index[polarity.down(c.intent & d.intent)])
-        meets.append(tuple(meet_row))
-        joins.append(tuple(join_row))
-    return ConceptLattice(polarity, concepts, tuple(meets), tuple(joins))
+    ordered = sorted(extents, key=lambda e: (e.bit_count(), tuple(sorted(objs.members(e)))))
+    intents = [bits.up(e) for e in ordered]
+    concepts = tuple(Concept(objs.members(e), attrs.members(t))
+                     for e, t in zip(ordered, intents))
+    by_extent = {e: i for i, e in enumerate(ordered)}.__getitem__
+    by_intent = {t: i for i, t in enumerate(intents)}.__getitem__
+    meets = tuple(tuple(map(by_extent, [e & f for f in ordered])) for e in ordered)
+    joins = tuple(tuple(map(by_intent, [t & u for u in intents])) for t in intents)
+    return ConceptLattice(polarity, concepts, meets, joins)
 
 
 def box_op(model: LEModel, c: Concept) -> Concept:
     """The complex-algebra box: (R_box^(0)[intent c], closure thereof)."""
-    ext = rel_preimage(model, "box", c.intent, 0)
-    return Concept(ext, model.polarity.up(ext))
+    ext, _ = preimage_mask(model, "box", c.intent, 0)
+    pol = model.bits.pol
+    return Concept(pol.objs.members(ext), pol.attrs.members(pol.up(ext)))
 
 
 def dia_op(model: LEModel, c: Concept) -> Concept:
     """The complex-algebra diamond: (down-closure, R_dia^(0)[extent c])."""
-    itt = rel_preimage(model, "dia", c.extent, 0)
-    return Concept(model.polarity.down(itt), itt)
+    itt, _ = preimage_mask(model, "dia", c.extent, 0)
+    pol = model.bits.pol
+    return Concept(pol.objs.members(pol.down(itt)), pol.attrs.members(itt))
 
 
 @dataclass(frozen=True)

@@ -4,12 +4,18 @@ A polarity (A, X, I) induces the Galois connection up/down between object
 sets and attribute sets; LE-models add I-compatible relations R_box, R_dia
 and a concept-valued valuation. Everything here is immutable after
 construction and all operations are pure.
+
+Each polarity and LE-model carries a bit index, built on first use: bit i
+of a mask is the i-th declared element of its sort, and I, R_box and R_dia
+are stored as row and column masks. The Galois maps, the preimages, the
+concept lattice, validation and simulation refinement compute on masks;
+names appear only where results are returned.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
 Pair = Tuple[str, str]
 
@@ -20,6 +26,109 @@ class SortError(ValueError):
 
 def _as_frozen(items: Iterable[str]) -> FrozenSet[str]:
     return items if isinstance(items, frozenset) else frozenset(items)
+
+
+class Carrier:
+    """One sort in declaration order, as bit positions: bit i is ``names[i]``."""
+
+    __slots__ = ("names", "bit", "full", "unknown")
+
+    def __init__(self, names: Tuple[str, ...], sort: str):
+        self.names = names
+        self.bit = {name: 1 << i for i, name in enumerate(names)}
+        self.full = (1 << len(names)) - 1
+        self.unknown = f"unknown {sort} identifiers: {{}}"
+
+    def mask(self, items: FrozenSet[str], unknown: Optional[str] = None) -> int:
+        """The mask of ``items``. An item outside the carrier raises a
+        SortError, ``unknown`` (or the carrier's own message) formatted with
+        the sorted strays."""
+        bit = self.bit
+        out = 0
+        try:
+            for item in items:
+                out |= bit[item]
+        except KeyError:
+            strays = sorted(items - bit.keys())
+            raise SortError((unknown or self.unknown).format(strays)) from None
+        return out
+
+    def members(self, mask: int) -> FrozenSet[str]:
+        names, out = self.names, []
+        while mask:
+            low = mask & -mask
+            out.append(names[low.bit_length() - 1])
+            mask ^= low
+        return frozenset(out)
+
+    def positions(self, mask: int) -> List[int]:
+        out = []
+        while mask:
+            low = mask & -mask
+            out.append(low.bit_length() - 1)
+            mask ^= low
+        return out
+
+
+def meet_masks(mask: int, table: Sequence[int], full: int) -> int:
+    """AND of ``table[i]`` over the set bits i of ``mask``; ``full`` if none."""
+    out = full
+    while mask:
+        low = mask & -mask
+        out &= table[low.bit_length() - 1]
+        mask ^= low
+    return out
+
+
+def _rows_cols(pairs: Iterable[Pair], left: Carrier,
+               right: Carrier) -> Tuple[List[int], List[int]]:
+    """A relation between two carriers as row masks (over ``right``, one per
+    left position) and column masks (over ``left``, one per right position)."""
+    rows, cols = [0] * len(left.names), [0] * len(right.names)
+    lbit, rbit = left.bit, right.bit
+    for u, v in pairs:
+        bu, bv = lbit[u], rbit[v]
+        rows[bu.bit_length() - 1] |= bv
+        cols[bv.bit_length() - 1] |= bu
+    return rows, cols
+
+
+class PolarityBits:
+    """A polarity's carriers as bit positions and I as masks.
+
+    ``i_rows[i]`` is the attribute mask of I at the i-th object and
+    ``i_cols[j]`` the object mask at the j-th attribute. It holds no
+    reference to its polarity, so storing it there makes no cycle.
+    """
+
+    __slots__ = ("objs", "attrs", "i_rows", "i_cols")
+
+    def __init__(self, objects: Tuple[str, ...], attributes: Tuple[str, ...],
+                 incidence: FrozenSet[Pair]):
+        self.objs, self.attrs = Carrier(objects, "object"), Carrier(attributes, "attribute")
+        self.i_rows, self.i_cols = _rows_cols(incidence, self.objs, self.attrs)
+
+    def up(self, objs: int) -> int:
+        return meet_masks(objs, self.i_rows, self.attrs.full)
+
+    def down(self, attrs: int) -> int:
+        return meet_masks(attrs, self.i_cols, self.objs.full)
+
+
+class ModelBits:
+    """R_box and R_dia of an LE-model as masks over its polarity's index.
+
+    ``box_rows[i]``: attributes x with a_i R_box x; ``box_cols[j]``: objects
+    a with a R_box x_j; ``dia_rows[j]``: objects a with x_j R_dia a;
+    ``dia_cols[i]``: attributes x with x R_dia a_i.
+    """
+
+    __slots__ = ("pol", "box_rows", "box_cols", "dia_rows", "dia_cols")
+
+    def __init__(self, pol: PolarityBits, r_box: FrozenSet[Pair], r_dia: FrozenSet[Pair]):
+        self.pol = pol
+        self.box_rows, self.box_cols = _rows_cols(r_box, pol.objs, pol.attrs)
+        self.dia_rows, self.dia_cols = _rows_cols(r_dia, pol.attrs, pol.objs)
 
 
 @dataclass(frozen=True)
@@ -36,17 +145,18 @@ class Polarity:
     incidence: FrozenSet[Pair]
 
     def __post_init__(self):
-        if len(set(self.objects)) != len(self.objects):
+        objs, attrs = set(self.objects), set(self.attributes)
+        if len(objs) != len(self.objects):
             raise ValueError("duplicate object identifiers")
-        if len(set(self.attributes)) != len(self.attributes):
+        if len(attrs) != len(self.attributes):
             raise ValueError("duplicate attribute identifiers")
-        overlap = set(self.objects) & set(self.attributes)
+        overlap = objs & attrs
         if overlap:
             raise SortError(f"identifiers in both sorts: {sorted(overlap)}")
         for a, x in self.incidence:
-            if a not in set(self.objects):
+            if a not in objs:
                 raise SortError(f"incidence references unknown object {a!r}")
-            if x not in set(self.attributes):
+            if x not in attrs:
                 raise SortError(f"incidence references unknown attribute {x!r}")
 
     @staticmethod
@@ -69,17 +179,24 @@ class Polarity:
             raise SortError(f"unknown attribute identifiers: {sorted(bad)}")
         return items
 
+    @property
+    def bits(self) -> PolarityBits:
+        """The carrier bit index and I masks, built on first use."""
+        bits = self.__dict__.get("_bits")
+        if bits is None:
+            bits = PolarityBits(self.objects, self.attributes, self.incidence)
+            object.__setattr__(self, "_bits", bits)
+        return bits
+
     def up(self, objs: Iterable[str]) -> FrozenSet[str]:
         """B^up = { x | every b in B has b I x }."""
-        objs = self.check_objects(objs)
-        return frozenset(x for x in self.attributes
-                         if all((b, x) in self.incidence for b in objs))
+        bits = self.bits
+        return bits.attrs.members(bits.up(bits.objs.mask(_as_frozen(objs))))
 
     def down(self, attrs: Iterable[str]) -> FrozenSet[str]:
         """Y^down = { a | every y in Y has a I y }."""
-        attrs = self.check_attributes(attrs)
-        return frozenset(a for a in self.objects
-                         if all((a, y) in self.incidence for y in attrs))
+        bits = self.bits
+        return bits.objs.members(bits.down(bits.attrs.mask(_as_frozen(attrs))))
 
     def stable_objects(self, objs: Iterable[str]) -> bool:
         objs = self.check_objects(objs)
@@ -127,11 +244,6 @@ def make_concept(polarity: Polarity, objs: Iterable[str]) -> Concept:
     """The smallest concept whose extent contains ``objs``."""
     intent = polarity.up(objs)
     return Concept(polarity.down(intent), intent)
-
-
-def is_concept(polarity: Polarity, c: Concept) -> bool:
-    return (polarity.up(c.extent) == c.intent
-            and polarity.down(c.intent) == c.extent)
 
 
 def top_concept(polarity: Polarity) -> Concept:
@@ -191,24 +303,14 @@ class LEModel:
     def variables(self) -> Tuple[str, ...]:
         return tuple(sorted(self.valuation))
 
-    # Row/column views of the three relations, used all over the place.
-    def i_row(self, a: str) -> FrozenSet[str]:
-        return frozenset(x for x in self.attributes if (a, x) in self.polarity.incidence)
-
-    def i_col(self, x: str) -> FrozenSet[str]:
-        return frozenset(a for a in self.objects if (a, x) in self.polarity.incidence)
-
-    def box_row(self, a: str) -> FrozenSet[str]:
-        return frozenset(x for x in self.attributes if (a, x) in self.r_box)
-
-    def box_col(self, x: str) -> FrozenSet[str]:
-        return frozenset(a for a in self.objects if (a, x) in self.r_box)
-
-    def dia_row(self, x: str) -> FrozenSet[str]:
-        return frozenset(a for a in self.objects if (x, a) in self.r_dia)
-
-    def dia_col(self, a: str) -> FrozenSet[str]:
-        return frozenset(x for x in self.attributes if (x, a) in self.r_dia)
+    @property
+    def bits(self) -> ModelBits:
+        """R_box/R_dia masks over the polarity's index, built on first use."""
+        bits = self.__dict__.get("_bits")
+        if bits is None:
+            bits = ModelBits(self.polarity.bits, self.r_box, self.r_dia)
+            object.__setattr__(self, "_bits", bits)
+        return bits
 
 
 def rel_preimage(model: LEModel, rel: str, targets: Iterable[str],
@@ -221,27 +323,29 @@ def rel_preimage(model: LEModel, rel: str, targets: Iterable[str],
     S0 to { v in S1 | u R v for all u in targets }. I and R_box live on
     A x X, R_dia on X x A. Empty targets give the full carrier.
     """
-    pol = model.polarity
+    mask, carrier = preimage_mask(model, rel, targets, index)
+    return carrier.members(mask)
+
+
+def preimage_mask(model: LEModel, rel: str, targets: Iterable[str],
+                  index: int) -> Tuple[int, Carrier]:
+    """:func:`rel_preimage` as a mask, with the carrier it is a mask over."""
+    bits = model.bits
+    pol = bits.pol
     if rel == "I":
-        pairs, s0, s1 = pol.incidence, pol.objects, pol.attributes
+        rows, cols, s0, s1 = pol.i_rows, pol.i_cols, pol.objs, pol.attrs
     elif rel == "box":
-        pairs, s0, s1 = model.r_box, pol.objects, pol.attributes
+        rows, cols, s0, s1 = bits.box_rows, bits.box_cols, pol.objs, pol.attrs
     elif rel == "dia":
-        pairs, s0, s1 = model.r_dia, pol.attributes, pol.objects
+        rows, cols, s0, s1 = bits.dia_rows, bits.dia_cols, pol.attrs, pol.objs
     else:
         raise ValueError(f"unknown relation {rel!r}")
     if index == 0:
-        targets = _as_frozen(targets)
-        bad = targets - set(s1)
-        if bad:
-            raise SortError(f"targets {sorted(bad)} not in the codomain sort of {rel}")
-        return frozenset(u for u in s0 if all((u, v) in pairs for v in targets))
+        mask = s1.mask(_as_frozen(targets), "targets {} not in the codomain sort of " + rel)
+        return meet_masks(mask, cols, s0.full), s0
     if index == 1:
-        targets = _as_frozen(targets)
-        bad = targets - set(s0)
-        if bad:
-            raise SortError(f"targets {sorted(bad)} not in the domain sort of {rel}")
-        return frozenset(v for v in s1 if all((u, v) in pairs for u in targets))
+        mask = s0.mask(_as_frozen(targets), "targets {} not in the domain sort of " + rel)
+        return meet_masks(mask, rows, s1.full), s1
     raise ValueError("index must be 0 or 1")
 
 
@@ -267,32 +371,36 @@ def validate_model(model: LEModel) -> List[Violation]:
     {a' | x R_dia a'} and {x' | x' R_dia a} are Galois-stable. An empty
     report means the input is a genuine LE-model.
     """
-    pol = model.polarity
+    bits = model.bits
+    pol = bits.pol
+    objs, attrs = pol.objs, pol.attrs
     out: List[Violation] = []
 
     def need_stable_attrs(kind, subject, ys):
         closure = pol.up(pol.down(ys))
         if closure != ys:
-            out.append(Violation(kind, subject, ys, closure))
+            out.append(Violation(kind, subject, attrs.members(ys), attrs.members(closure)))
 
     def need_stable_objs(kind, subject, bs):
         closure = pol.down(pol.up(bs))
         if closure != bs:
-            out.append(Violation(kind, subject, bs, closure))
+            out.append(Violation(kind, subject, objs.members(bs), objs.members(closure)))
 
-    for a in pol.objects:
-        need_stable_attrs("r_box_row", a, model.box_row(a))
-        need_stable_attrs("r_dia_col", a, model.dia_col(a))
-    for x in pol.attributes:
-        need_stable_objs("r_box_col", x, model.box_col(x))
-        need_stable_objs("r_dia_row", x, model.dia_row(x))
+    for i, a in enumerate(objs.names):
+        need_stable_attrs("r_box_row", a, bits.box_rows[i])
+        need_stable_attrs("r_dia_col", a, bits.dia_cols[i])
+    for j, x in enumerate(attrs.names):
+        need_stable_objs("r_box_col", x, bits.box_cols[j])
+        need_stable_objs("r_dia_row", x, bits.dia_rows[j])
     for p in sorted(model.valuation):
         c = model.valuation[p]
-        up = pol.up(c.extent)
-        if up != c.intent:
-            out.append(Violation("valuation", p, c.intent, up))
-        elif pol.down(c.intent) != c.extent:
-            out.append(Violation("valuation", p, c.extent, pol.down(c.intent)))
+        extent = objs.mask(c.extent)
+        intent = attrs.mask(c.intent)
+        up = pol.up(extent)
+        if up != intent:
+            out.append(Violation("valuation", p, c.intent, attrs.members(up)))
+        elif pol.down(intent) != extent:
+            out.append(Violation("valuation", p, c.extent, objs.members(pol.down(intent))))
     return out
 
 

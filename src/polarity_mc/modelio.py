@@ -4,7 +4,9 @@ LE-model files carry keys "A", "X", "I", "R_box", "R_dia", "V". Each
 valuation entry is {"extent": [...], "intent": [...]}; the intent may be
 omitted, in which case the extent is closed and the intent computed from
 it (with a warning when the given extent was not already Galois-closed).
-Kripke files carry "W", "R", "V".
+Kripke files carry "W", "R", "V". Identifiers must be JSON strings and
+carriers, relations, extents and intents arrays; anything else is a
+:class:`ModelFormatError`, never coerced.
 """
 
 from __future__ import annotations
@@ -34,30 +36,52 @@ def _require(data, key, kind, where):
     return value
 
 
-def _pairs(raw, where):
+def _ident(value, where, what) -> str:
+    if not isinstance(value, str):
+        raise ModelFormatError(f"{where}: {what} holds {json.dumps(value, default=repr)}; "
+                               f"identifiers must be strings")
+    return value
+
+
+def _names(raw, where, what):
+    if not isinstance(raw, (list, tuple)):
+        raise ModelFormatError(f"{where}: {what} must be an array of strings")
+    return [_ident(item, where, what) for item in raw]
+
+
+def _pairs(raw, where, what):
+    if not isinstance(raw, (list, tuple)):
+        raise ModelFormatError(f"{where}: {what} must be an array of [left, right] pairs")
     out = []
     for entry in raw:
         if not (isinstance(entry, (list, tuple)) and len(entry) == 2):
             raise ModelFormatError(f"{where}: expected [left, right] pairs")
-        out.append((str(entry[0]), str(entry[1])))
+        out.append((_ident(entry[0], where, what), _ident(entry[1], where, what)))
     return out
 
 
 def model_from_dict(data: dict, warn: Optional[Warner] = None,
                     where: str = "<model>") -> LEModel:
+    """The LE-model a model-file dictionary describes.
+
+    Identifiers must be strings and every carrier, relation, extent and
+    intent an array; anything else raises :class:`ModelFormatError`.
+    """
     warn = warn or _ignore
-    objs = [str(a) for a in _require(data, "A", list, where)]
-    attrs = [str(x) for x in _require(data, "X", list, where)]
-    pol = Polarity.make(objs, attrs, _pairs(_require(data, "I", list, where), where))
-    r_box = _pairs(data.get("R_box", []), where)
-    r_dia = _pairs(data.get("R_dia", []), where)
+    objs = _names(_require(data, "A", list, where), where, "A")
+    attrs = _names(_require(data, "X", list, where), where, "X")
+    pol = Polarity.make(objs, attrs, _pairs(_require(data, "I", list, where), where, "I"))
+    r_box = _pairs(data.get("R_box", []), where, "R_box")
+    r_dia = _pairs(data.get("R_dia", []), where, "R_dia")
     val = {}
     for p, entry in _require(data, "V", dict, where).items():
         if not isinstance(entry, dict) or "extent" not in entry:
             raise ModelFormatError(f"{where}: V[{p!r}] needs an \"extent\" array")
-        extent = pol.check_objects(frozenset(str(a) for a in entry["extent"]))
+        extent = pol.check_objects(frozenset(
+            _names(entry["extent"], where, f"V[{p!r}].extent")))
         if "intent" in entry:
-            intent = pol.check_attributes(frozenset(str(x) for x in entry["intent"]))
+            intent = pol.check_attributes(frozenset(
+                _names(entry["intent"], where, f"V[{p!r}].intent")))
             val[p] = Concept(extent, intent)
         else:
             closed = pol.down(pol.up(extent))
@@ -99,13 +123,13 @@ def save_model(model: LEModel, path: str) -> None:
 
 
 def kripke_from_dict(data: dict, where: str = "<kripke>") -> KripkeModel:
-    worlds = [str(w) for w in _require(data, "W", list, where)]
-    rel = _pairs(data.get("R", []), where)
+    worlds = _names(_require(data, "W", list, where), where, "W")
+    rel = _pairs(data.get("R", []), where, "R")
     val = {}
     for p, ws in _require(data, "V", dict, where).items():
         if not isinstance(ws, list):
             raise ModelFormatError(f"{where}: V[{p!r}] must be an array of worlds")
-        val[p] = frozenset(str(w) for w in ws)
+        val[p] = frozenset(_names(ws, where, f"V[{p!r}]"))
     return KripkeModel.make(worlds, rel, val)
 
 

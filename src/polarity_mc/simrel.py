@@ -142,127 +142,108 @@ def is_bisimulation(m1: LEModel, m2: LEModel, z: SimPair) -> List[SimViolation]:
 
 
 class _MaskContext:
-    """Indexed carriers and complement-adjacency bitmasks for a model pair."""
+    """Complement rows and columns of I, R_box and R_dia for a model pair.
+
+    Everything is read off the two models' bit indexes. Elements are
+    declaration positions: S is one right-object mask per left object, T
+    one right-attribute mask per left attribute. Left complements are kept
+    as position lists (the clauses iterate them) and, for the converse
+    attribute clauses, as masks; right complements as masks.
+    """
 
     def __init__(self, m1: LEModel, m2: LEModel):
         self.variables = _shared_variables(m1, m2)
-        self.a1 = list(m1.objects)
-        self.x1 = list(m1.attributes)
-        self.a2 = list(m2.objects)
-        self.x2 = list(m2.attributes)
-        a2i = {a: i for i, a in enumerate(self.a2)}
-        x2i = {x: i for i, x in enumerate(self.x2)}
-        self.full_a2 = (1 << len(self.a2)) - 1
-        self.full_x2 = (1 << len(self.x2)) - 1
+        b1, b2 = m1.bits, m2.bits
+        p1, p2 = b1.pol, b2.pol
+        self.objs1, self.attrs1 = p1.objs, p1.attrs
+        self.objs2, self.attrs2 = p2.objs, p2.attrs
+        fa1, fx1 = p1.objs.full, p1.attrs.full
+        fa2, fx2 = p2.objs.full, p2.attrs.full
 
-        def mask(items, index):
-            out = 0
-            for it in items:
-                out |= 1 << index[it]
-            return out
+        self.ic1_col_mask = [fa1 & ~col for col in p1.i_cols]
+        self.dc1_row_mask = [fa1 & ~row for row in b1.dia_rows]
+        self.ic1_row = [p1.attrs.positions(fx1 & ~row) for row in p1.i_rows]
+        self.bc1_row = [p1.attrs.positions(fx1 & ~row) for row in b1.box_rows]
+        self.ic1_col = [p1.objs.positions(m) for m in self.ic1_col_mask]
+        self.dc1_row = [p1.objs.positions(m) for m in self.dc1_row_mask]
+        self.ic2_row = [fx2 & ~row for row in p2.i_rows]
+        self.ic2_col = [fa2 & ~col for col in p2.i_cols]
+        self.bc2_row = [fx2 & ~row for row in b2.box_rows]
+        self.dc2_row = [fa2 & ~row for row in b2.dia_rows]
 
-        # Complement rows/columns, left model indexed by element, right by mask.
-        self.ic1_row = {a: [x for x in self.x1 if (a, x) not in m1.polarity.incidence]
-                        for a in self.a1}
-        self.ic1_col = {x: [a for a in self.a1 if (a, x) not in m1.polarity.incidence]
-                        for x in self.x1}
-        self.bc1_row = {a: [x for x in self.x1 if (a, x) not in m1.r_box]
-                        for a in self.a1}
-        self.dc1_row = {x: [a for a in self.a1 if (x, a) not in m1.r_dia]
-                        for x in self.x1}
-        self.ic2_row = {a: mask([x for x in self.x2
-                                 if (a, x) not in m2.polarity.incidence], x2i)
-                        for a in self.a2}
-        self.ic2_col = {x: mask([a for a in self.a2
-                                 if (a, x) not in m2.polarity.incidence], a2i)
-                        for x in self.x2}
-        self.bc2_row = {a: mask([x for x in self.x2 if (a, x) not in m2.r_box], x2i)
-                        for a in self.a2}
-        self.dc2_row = {x: mask([a for a in self.a2 if (x, a) not in m2.r_dia], a2i)
-                        for x in self.x2}
-
-        # Propositionally consistent initializations (clauses 1 and 2).
-        self.s0 = {}
-        for a1 in self.a1:
-            allowed = self.full_a2
-            for p in self.variables:
-                if a1 in m1.valuation[p].extent:
-                    allowed &= mask(m2.valuation[p].extent, a2i)
-            self.s0[a1] = allowed
-        self.t0 = {}
-        for x1 in self.x1:
-            allowed = self.full_x2
-            for p in self.variables:
-                if x1 not in m1.valuation[p].intent:
-                    allowed &= self.full_x2 ^ mask(m2.valuation[p].intent, x2i)
-            self.t0[x1] = allowed
-        # Biconditional variants, for bisimulation refinement.
-        self.s0_bi = {}
-        for a1 in self.a1:
-            allowed = self.s0[a1]
-            for p in self.variables:
-                if a1 not in m1.valuation[p].extent:
-                    allowed &= self.full_a2 ^ mask(m2.valuation[p].extent, a2i)
-            self.s0_bi[a1] = allowed
-        self.t0_bi = {}
-        for x1 in self.x1:
-            allowed = self.t0[x1]
-            for p in self.variables:
-                if x1 in m1.valuation[p].intent:
-                    allowed &= mask(m2.valuation[p].intent, x2i)
-            self.t0_bi[x1] = allowed
+        ext1 = [p1.objs.mask(m1.valuation[p].extent) for p in self.variables]
+        ext2 = [p2.objs.mask(m2.valuation[p].extent) for p in self.variables]
+        itt1 = [p1.attrs.mask(m1.valuation[p].intent) for p in self.variables]
+        itt2 = [p2.attrs.mask(m2.valuation[p].intent) for p in self.variables]
+        # Propositionally consistent initializations (clauses 1 and 2), and
+        # their biconditional variants for bisimulation refinement.
+        self.s0, self.s0_bi = [], []
+        for i in range(len(p1.objs.names)):
+            allowed = allowed_bi = fa2
+            for e1, e2 in zip(ext1, ext2):
+                if e1 >> i & 1:
+                    allowed &= e2
+                else:
+                    allowed_bi &= fa2 ^ e2
+            self.s0.append(allowed)
+            self.s0_bi.append(allowed & allowed_bi)
+        self.t0, self.t0_bi = [], []
+        for j in range(len(p1.attrs.names)):
+            allowed = allowed_bi = fx2
+            for t1, t2 in zip(itt1, itt2):
+                if t1 >> j & 1:
+                    allowed_bi &= t2
+                else:
+                    allowed &= fx2 ^ t2
+            self.t0.append(allowed)
+            self.t0_bi.append(allowed & allowed_bi)
 
     def to_simpair(self, s, t) -> SimPair:
-        sp = frozenset((a1, self.a2[i]) for a1 in self.a1
-                       for i in range(len(self.a2)) if s[a1] >> i & 1)
-        tp = frozenset((x1, self.x2[i]) for x1 in self.x1
-                       for i in range(len(self.x2)) if t[x1] >> i & 1)
+        a2, x2 = self.objs2.names, self.attrs2.names
+        sp = frozenset((a1, a2[k]) for a1, m in zip(self.objs1.names, s)
+                       for k in self.objs2.positions(m))
+        tp = frozenset((x1, x2[k]) for x1, m in zip(self.attrs1.names, t)
+                       for k in self.attrs2.positions(m))
         return SimPair(sp, tp)
 
 
-def _refine(ctx: _MaskContext, s, t, bisim: bool) -> Tuple[dict, dict, int]:
+def _refine(ctx: _MaskContext, s, t, bisim: bool) -> Tuple[list, list, int]:
     """Delete clause-violating pairs until none remain; simultaneous per round."""
+    objs2, attrs2 = ctx.objs2, ctx.attrs2
     rounds = 0
     while True:
         rounds += 1
-        cov_i = {a1: _or_over(t, ctx.ic1_row[a1]) for a1 in ctx.a1}
-        cov_b = {a1: _or_over(t, ctx.bc1_row[a1]) for a1 in ctx.a1}
-        new_s = {}
-        for a1 in ctx.a1:
-            allowed = s[a1]
+        new_s = []
+        for i, allowed in enumerate(s):
             if allowed:
+                cov_i = _or_over(t, ctx.ic1_row[i])
+                cov_b = _or_over(t, ctx.bc1_row[i])
                 keep = 0
-                for i in range(len(ctx.a2)):
-                    if not allowed >> i & 1:
-                        continue
-                    a2 = ctx.a2[i]
-                    if ctx.ic2_row[a2] & ~cov_i[a1]:
+                for k in objs2.positions(allowed):
+                    if ctx.ic2_row[k] & ~cov_i:
                         continue  # clause 3
-                    if ctx.bc2_row[a2] & ~cov_b[a1]:
+                    if ctx.bc2_row[k] & ~cov_b:
                         continue  # clause 5
-                    if bisim and not _backward_object_ok(ctx, t, a1, a2):
+                    if bisim and not _backward_object_ok(ctx, t, i, k):
                         continue  # converse clauses 3 and 5
-                    keep |= 1 << i
+                    keep |= 1 << k
                 allowed = keep
-            new_s[a1] = allowed
-        new_t = {}
-        for x1 in ctx.x1:
-            allowed = t[x1]
+            new_s.append(allowed)
+        scol = _s_columns(s, len(objs2.names)) if bisim else None
+        new_t = []
+        for j, allowed in enumerate(t):
             if allowed:
                 keep = 0
-                for i in range(len(ctx.x2)):
-                    if not allowed >> i & 1:
+                for k in attrs2.positions(allowed):
+                    if not _clause4_ok(ctx, s, j, k):
                         continue
-                    x2 = ctx.x2[i]
-                    if not _clause4_ok(ctx, s, x1, x2):
+                    if not _clause6_ok(ctx, s, j, k):
                         continue
-                    if not _clause6_ok(ctx, s, x1, x2):
+                    if bisim and not _backward_attribute_ok(ctx, scol, j, k):
                         continue
-                    if bisim and not _backward_attribute_ok(ctx, s, x1, x2):
-                        continue
-                    keep |= 1 << i
+                    keep |= 1 << k
                 allowed = keep
-            new_t[x1] = allowed
+            new_t.append(allowed)
         if new_s == s and new_t == t:
             return s, t, rounds
         s, t = new_s, new_t
@@ -275,37 +256,43 @@ def _or_over(table, keys) -> int:
     return out
 
 
-def _clause4_ok(ctx, s, x1, x2) -> bool:
-    ic2 = ctx.ic2_col[x2]
-    return all(s[a1] & ic2 for a1 in ctx.ic1_col[x1])
+def _s_columns(s, n_right: int):
+    """S by right object: the left-object mask S relates to each of them."""
+    cols = [0] * n_right
+    for i, row in enumerate(s):
+        bit = 1 << i
+        while row:
+            low = row & -row
+            cols[low.bit_length() - 1] |= bit
+            row ^= low
+    return cols
 
 
-def _clause6_ok(ctx, s, x1, x2) -> bool:
-    dc2 = ctx.dc2_row[x2]
-    return all(s[a1] & dc2 for a1 in ctx.dc1_row[x1])
+def _clause4_ok(ctx, s, j, k) -> bool:
+    ic2 = ctx.ic2_col[k]
+    return all(s[i] & ic2 for i in ctx.ic1_col[j])
 
 
-def _backward_object_ok(ctx, t, a1, a2) -> bool:
+def _clause6_ok(ctx, s, j, k) -> bool:
+    dc2 = ctx.dc2_row[k]
+    return all(s[i] & dc2 for i in ctx.dc1_row[j])
+
+
+def _backward_object_ok(ctx, t, i, k) -> bool:
     # Converse clause 3: every x1 missing from I1 at a1 needs a T-image
     # missing from I2 at a2; converse clause 5 likewise for R_box.
-    ic2, bc2 = ctx.ic2_row[a2], ctx.bc2_row[a2]
-    return (all(t[x1] & ic2 for x1 in ctx.ic1_row[a1])
-            and all(t[x1] & bc2 for x1 in ctx.bc1_row[a1]))
+    ic2, bc2 = ctx.ic2_row[k], ctx.bc2_row[k]
+    return (all(t[j] & ic2 for j in ctx.ic1_row[i])
+            and all(t[j] & bc2 for j in ctx.bc1_row[i]))
 
 
-def _backward_attribute_ok(ctx, s, x1, x2) -> bool:
-    # Converse clauses 4 and 6, pivoting on right-model elements.
-    scol = {}
-    for i, a2 in enumerate(ctx.a2):
-        scol[a2] = [a1 for a1 in ctx.a1 if s[a1] >> i & 1]
-    ic1 = set(ctx.ic1_col[x1])
-    dc1 = set(ctx.dc1_row[x1])
-    for i, a2 in enumerate(ctx.a2):
-        if ctx.ic2_col[x2] >> i & 1 and not (ic1 & set(scol[a2])):
-            return False
-        if ctx.dc2_row[x2] >> i & 1 and not (dc1 & set(scol[a2])):
-            return False
-    return True
+def _backward_attribute_ok(ctx, scol, j, k) -> bool:
+    # Converse clauses 4 and 6, pivoting on right-model objects: each one
+    # missing from I2 (resp. R_dia2) at x2 needs an S-preimage missing from
+    # I1 (resp. R_dia1) at x1.
+    ic1, dc1 = ctx.ic1_col_mask[j], ctx.dc1_row_mask[j]
+    return (all(ic1 & scol[a2] for a2 in ctx.objs2.positions(ctx.ic2_col[k]))
+            and all(dc1 & scol[a2] for a2 in ctx.objs2.positions(ctx.dc2_row[k])))
 
 
 def greatest_simulation(m1: LEModel, m2: LEModel) -> SimPair:
@@ -315,21 +302,21 @@ def greatest_simulation(m1: LEModel, m2: LEModel) -> SimPair:
     every pair violating clauses 3-6, all at once per round, until stable.
     """
     ctx = _MaskContext(m1, m2)
-    s, t, _ = _refine(ctx, dict(ctx.s0), dict(ctx.t0), bisim=False)
+    s, t, _ = _refine(ctx, list(ctx.s0), list(ctx.t0), bisim=False)
     return ctx.to_simpair(s, t)
 
 
 def greatest_simulation_rounds(m1: LEModel, m2: LEModel) -> Tuple[SimPair, int]:
     """Like :func:`greatest_simulation`, also reporting refinement rounds."""
     ctx = _MaskContext(m1, m2)
-    s, t, rounds = _refine(ctx, dict(ctx.s0), dict(ctx.t0), bisim=False)
+    s, t, rounds = _refine(ctx, list(ctx.s0), list(ctx.t0), bisim=False)
     return ctx.to_simpair(s, t), rounds
 
 
 def greatest_bisimulation(m1: LEModel, m2: LEModel) -> SimPair:
     """The largest bisimulation between m1 and m2 (same scheme, both directions)."""
     ctx = _MaskContext(m1, m2)
-    s, t, _ = _refine(ctx, dict(ctx.s0_bi), dict(ctx.t0_bi), bisim=True)
+    s, t, _ = _refine(ctx, list(ctx.s0_bi), list(ctx.t0_bi), bisim=True)
     return ctx.to_simpair(s, t)
 
 

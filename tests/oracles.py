@@ -360,6 +360,54 @@ def brute_filters(concept_extents: Sequence[FrozenSet[str]]) -> List[FrozenSet[i
     return out
 
 
+def set_up(pol: Polarity, objs) -> FrozenSet[str]:
+    """B^up over the incidence pair set: attributes every object in B bears."""
+    return frozenset(x for x in pol.attributes
+                     if all((b, x) in pol.incidence for b in objs))
+
+
+def set_down(pol: Polarity, attrs) -> FrozenSet[str]:
+    """Y^down over the incidence pair set: objects bearing every attribute in Y."""
+    return frozenset(a for a in pol.objects
+                     if all((a, y) in pol.incidence for y in attrs))
+
+
+def validate_reference(model: LEModel) -> List[Tuple[str, str, FrozenSet[str], FrozenSet[str]]]:
+    """The violations of the LE-model conditions as (kind, subject, found,
+    expected), in report order, read off the relation pair sets directly."""
+    pol = model.polarity
+    out = []
+
+    def need_stable_attrs(kind, subject, ys):
+        closure = set_up(pol, set_down(pol, ys))
+        if closure != ys:
+            out.append((kind, subject, ys, closure))
+
+    def need_stable_objs(kind, subject, bs):
+        closure = set_down(pol, set_up(pol, bs))
+        if closure != bs:
+            out.append((kind, subject, bs, closure))
+
+    for a in pol.objects:
+        need_stable_attrs("r_box_row", a,
+                          frozenset(x for x in pol.attributes if (a, x) in model.r_box))
+        need_stable_attrs("r_dia_col", a,
+                          frozenset(x for x in pol.attributes if (x, a) in model.r_dia))
+    for x in pol.attributes:
+        need_stable_objs("r_box_col", x,
+                         frozenset(a for a in pol.objects if (a, x) in model.r_box))
+        need_stable_objs("r_dia_row", x,
+                         frozenset(a for a in pol.objects if (x, a) in model.r_dia))
+    for p in sorted(model.valuation):
+        c = model.valuation[p]
+        up = set_up(pol, c.extent)
+        if up != c.intent:
+            out.append(("valuation", p, c.intent, up))
+        elif set_down(pol, c.intent) != c.extent:
+            out.append(("valuation", p, c.extent, set_down(pol, c.intent)))
+    return out
+
+
 # --- brute-force simulation oracles ----------------------------------------
 
 def _prop_consistent_pairs(m1: LEModel, m2: LEModel):

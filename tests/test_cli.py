@@ -202,3 +202,14 @@ def test_outputs_byte_identical_across_runs(capsys):
     second = run_cli(capsys, "sim", "--left", fixture_path("fig1_m1.json"),
                      "--right", fixture_path("fig1_m2.json"), "--json")
     assert first == second
+
+
+def test_validate_rejects_malformed_schema(capsys, tmp_path):
+    from test_model import MALFORMED_MODELS
+    for name, data in sorted(MALFORMED_MODELS.items()):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(data))
+        code, out, err = run_cli(capsys, "validate", "--model", str(path))
+        assert code == 2, name
+        assert out == "", name
+        assert err.startswith("error: ") and err.count("\n") == 1, name

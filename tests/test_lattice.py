@@ -8,12 +8,12 @@ from hypothesis import strategies as st
 from polarity_mc import (CapExceeded, Concept, Filter, Ideal, LEModel,
                          Polarity, all_filters, all_ideals, box_op,
                          concept_lattice, dia_op, enumerate_formulas,
-                         filter_ideal_extension, principal_filter,
+                         filter_ideal_extension, lift_kripke, principal_filter,
                          principal_ideal, validate_model)
-from polarity_mc.randgen import random_le_model
+from polarity_mc.randgen import random_kripke, random_le_model
 from polarity_mc.semantics import sat_sets
 
-from oracles import brute_concepts, brute_filters
+from oracles import brute_concepts, brute_filters, set_down
 from test_model import polarities
 
 
@@ -62,6 +62,24 @@ def test_meet_join_tables_agree_with_formulas(pol):
         join = lat.join(c, d)
         assert meet.extent == c.extent & d.extent
         assert join.intent == c.intent & d.intent
+
+
+def test_tables_on_lifted_kripke():
+    # Lifted models have every subset as an extent (2^n concepts): check the
+    # order and both tables cell by cell, the join against down(c & d intents).
+    rng = random.Random(7)
+    for n in range(1, 7):
+        for _ in range(2):
+            pol = lift_kripke(random_kripke(rng, max_worlds=n)).polarity
+            lat = concept_lattice(pol)
+            assert len(lat) == 2 ** len(pol.objects)
+            assert [c.extent for c in lat.concepts] == sorted(
+                (c.extent for c in lat.concepts), key=lambda e: (len(e), tuple(sorted(e))))
+            for i, c in enumerate(lat.concepts):
+                for j, d in enumerate(lat.concepts):
+                    assert lat.concepts[lat.meet_table[i][j]].extent == c.extent & d.extent
+                    assert lat.concepts[lat.join_table[i][j]].extent == \
+                        set_down(pol, c.intent & d.intent)
 
 
 @given(polarities())

@@ -13,7 +13,7 @@ from polarity_mc.modelio import (ModelFormatError, kripke_from_dict,
 from polarity_mc.randgen import random_kripke, random_le_model
 from polarity_mc.semantics import sat_sets
 
-from oracles import kripke_truth
+from oracles import kripke_truth, validate_reference
 
 
 # --- Galois maps -----------------------------------------------------------
@@ -129,6 +129,36 @@ def test_validate_incompatible_relation():
         any(v.kind == "r_box_row" for v in report)
 
 
+def _unrepaired_model(rng):
+    """Random relations and valuation pairs, neither repaired nor closed, on
+    carriers declared out of name order."""
+    objs = [f"a{i}" for i in range(rng.randint(0, 6))]
+    attrs = [f"x{i}" for i in range(rng.randint(0, 6))]
+    rng.shuffle(objs)
+    rng.shuffle(attrs)
+    density = rng.random()
+    pairs = [(a, x) for a in objs for x in attrs]
+    pol = Polarity.make(objs, attrs, [q for q in pairs if rng.random() < density])
+    r_box = [q for q in pairs if rng.random() < density]
+    r_dia = [(x, a) for a, x in pairs if rng.random() < density]
+    valuation = {p: Concept(frozenset(a for a in objs if rng.random() < 0.5),
+                            frozenset(x for x in attrs if rng.random() < 0.5))
+                 for p in ("p", "q", "r")}
+    return LEModel.make(pol, r_box, r_dia, valuation)
+
+
+def test_validate_matches_set_reference():
+    # The whole report, in order, against the pair-set transcription.
+    rng = random.Random(20251018)
+    reported = 0
+    for _ in range(400):
+        model = _unrepaired_model(rng)
+        report = [(v.kind, v.subject, v.found, v.expected) for v in validate_model(model)]
+        assert report == validate_reference(model)
+        reported += len(report)
+    assert reported > 1000  # the battery exercises the violation paths
+
+
 # --- Kripke lifting ---------------------------------------------------------
 
 def test_lift_single_reflexive_world():
@@ -229,6 +259,45 @@ def test_model_format_errors(tmp_path):
     path.write_text("{not json")
     with pytest.raises(ModelFormatError, match="line 1"):
         load_model(str(path))
+
+
+def _model_dict(**changes):
+    data = {"A": ["a", "b"], "X": ["x"], "I": [["a", "x"]], "R_box": [], "R_dia": [],
+            "V": {"p": {"extent": ["a"], "intent": ["x"]}}}
+    data.update(changes)
+    return data
+
+
+MALFORMED_MODELS = {
+    "extent string": _model_dict(V={"p": {"extent": "ab"}}),
+    "intent string": _model_dict(V={"p": {"extent": ["a"], "intent": "x"}}),
+    "integer object": _model_dict(A=["a", "b", 1]),
+    "null attribute": _model_dict(X=["x", None]),
+    "array attribute": _model_dict(X=["x", ["y"]]),
+    "integer in I": _model_dict(I=[["a", "x"], ["b", 1]]),
+    "null in R_box": _model_dict(R_box=[[None, "x"]]),
+    "array in R_dia": _model_dict(R_dia=[[["x"], "a"]]),
+    "R_box string": _model_dict(R_box="ax"),
+    "integer in extent": _model_dict(V={"p": {"extent": [1]}}),
+    "null in intent": _model_dict(V={"p": {"extent": ["a"], "intent": [None]}}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED_MODELS))
+def test_model_schema_is_strict(name):
+    with pytest.raises(ModelFormatError):
+        model_from_dict(MALFORMED_MODELS[name])
+
+
+@pytest.mark.parametrize("data", [
+    {"W": ["w", 1], "R": [], "V": {}},
+    {"W": ["w"], "R": [["w", None]], "V": {}},
+    {"W": ["w"], "R": "ww", "V": {}},
+    {"W": ["w"], "R": [], "V": {"p": [0]}},
+])
+def test_kripke_schema_is_strict(data):
+    with pytest.raises(ModelFormatError):
+        kripke_from_dict(data)
 
 
 def test_kripke_from_dict_rejects_bad_valuation():
