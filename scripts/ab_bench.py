@@ -89,14 +89,11 @@ def main(argv=None) -> int:
     parser.add_argument("--workload", required=True)
     parser.add_argument("--seed", type=int, required=True)
     parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=float, default=None,
-                        help="run length (default: run_seconds of BENCHMARK.json)")
-    parser.add_argument("--json", dest="json_out", help="also write runs and summary here")
     args = parser.parse_args(argv)
 
     with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
         bench = json.load(fh)
-    seconds = args.seconds if args.seconds is not None else bench["run_seconds"]
+    seconds = bench["run_seconds"]
     metrics = [(m["name"], m["better"]) for m in bench["end_to_end"]]
 
     tmp = tempfile.mkdtemp(prefix="ab-parent-")
@@ -132,12 +129,6 @@ def main(argv=None) -> int:
         cells = [f"{d['median']:.4g} [{d['q1']:.4g}-{d['q3']:.4g}]" for d in (p, c)]
         print(f"  {name:<13} {cells[0]:<32} {cells[1]:<32} {ratio:>6} {spread:>6}"
               f" {s['wins']:>3}/{s['pairs']:<2}  {'yes' if s['gain'] else 'no'}")
-    if args.json_out:
-        with open(args.json_out, "w") as fh:
-            json.dump({"workload": args.workload, "seed": args.seed, "seconds": seconds,
-                       "parent": args.parent, "summary": summary, "runs": runs}, fh,
-                      indent=1)
-            fh.write("\n")
     return 0
 
 

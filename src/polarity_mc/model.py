@@ -28,6 +28,16 @@ def _as_frozen(items: Iterable[str]) -> FrozenSet[str]:
     return items if isinstance(items, frozenset) else frozenset(items)
 
 
+def positions(mask: int) -> List[int]:
+    """The set bits of ``mask``, lowest first."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
 class Carrier:
     """One sort in declaration order, as bit positions: bit i is ``names[i]``."""
 
@@ -54,29 +64,15 @@ class Carrier:
         return out
 
     def members(self, mask: int) -> FrozenSet[str]:
-        names, out = self.names, []
-        while mask:
-            low = mask & -mask
-            out.append(names[low.bit_length() - 1])
-            mask ^= low
-        return frozenset(out)
-
-    def positions(self, mask: int) -> List[int]:
-        out = []
-        while mask:
-            low = mask & -mask
-            out.append(low.bit_length() - 1)
-            mask ^= low
-        return out
+        names = self.names
+        return frozenset([names[k] for k in positions(mask)])
 
 
 def meet_masks(mask: int, table: Sequence[int], full: int) -> int:
     """AND of ``table[i]`` over the set bits i of ``mask``; ``full`` if none."""
     out = full
-    while mask:
-        low = mask & -mask
-        out &= table[low.bit_length() - 1]
-        mask ^= low
+    for k in positions(mask):
+        out &= table[k]
     return out
 
 

@@ -24,7 +24,7 @@ from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 from . import formula as fm
 from .lattice import (LATTICE_CAP, ConceptLattice, CapExceeded, box_op,
                       concept_lattice, dia_op)
-from .model import Concept, LEModel, Polarity
+from .model import Concept, LEModel, Polarity, positions
 from .semantics import sat_sets
 
 Pair = Tuple[str, str]
@@ -162,10 +162,10 @@ class _MaskContext:
 
         self.ic1_col_mask = [fa1 & ~col for col in p1.i_cols]
         self.dc1_row_mask = [fa1 & ~row for row in b1.dia_rows]
-        self.ic1_row = [p1.attrs.positions(fx1 & ~row) for row in p1.i_rows]
-        self.bc1_row = [p1.attrs.positions(fx1 & ~row) for row in b1.box_rows]
-        self.ic1_col = [p1.objs.positions(m) for m in self.ic1_col_mask]
-        self.dc1_row = [p1.objs.positions(m) for m in self.dc1_row_mask]
+        self.ic1_row = [positions(fx1 & ~row) for row in p1.i_rows]
+        self.bc1_row = [positions(fx1 & ~row) for row in b1.box_rows]
+        self.ic1_col = [positions(m) for m in self.ic1_col_mask]
+        self.dc1_row = [positions(m) for m in self.dc1_row_mask]
         self.ic2_row = [fx2 & ~row for row in p2.i_rows]
         self.ic2_col = [fa2 & ~col for col in p2.i_cols]
         self.bc2_row = [fx2 & ~row for row in b2.box_rows]
@@ -201,15 +201,14 @@ class _MaskContext:
     def to_simpair(self, s, t) -> SimPair:
         a2, x2 = self.objs2.names, self.attrs2.names
         sp = frozenset((a1, a2[k]) for a1, m in zip(self.objs1.names, s)
-                       for k in self.objs2.positions(m))
+                       for k in positions(m))
         tp = frozenset((x1, x2[k]) for x1, m in zip(self.attrs1.names, t)
-                       for k in self.attrs2.positions(m))
+                       for k in positions(m))
         return SimPair(sp, tp)
 
 
 def _refine(ctx: _MaskContext, s, t, bisim: bool) -> Tuple[list, list, int]:
     """Delete clause-violating pairs until none remain; simultaneous per round."""
-    objs2, attrs2 = ctx.objs2, ctx.attrs2
     rounds = 0
     while True:
         rounds += 1
@@ -219,7 +218,7 @@ def _refine(ctx: _MaskContext, s, t, bisim: bool) -> Tuple[list, list, int]:
                 cov_i = _or_over(t, ctx.ic1_row[i])
                 cov_b = _or_over(t, ctx.bc1_row[i])
                 keep = 0
-                for k in objs2.positions(allowed):
+                for k in positions(allowed):
                     if ctx.ic2_row[k] & ~cov_i:
                         continue  # clause 3
                     if ctx.bc2_row[k] & ~cov_b:
@@ -229,12 +228,12 @@ def _refine(ctx: _MaskContext, s, t, bisim: bool) -> Tuple[list, list, int]:
                     keep |= 1 << k
                 allowed = keep
             new_s.append(allowed)
-        scol = _s_columns(s, len(objs2.names)) if bisim else None
+        scol = _s_columns(s, len(ctx.objs2.names)) if bisim else None
         new_t = []
         for j, allowed in enumerate(t):
             if allowed:
                 keep = 0
-                for k in attrs2.positions(allowed):
+                for k in positions(allowed):
                     if not _clause4_ok(ctx, s, j, k):
                         continue
                     if not _clause6_ok(ctx, s, j, k):
@@ -261,10 +260,8 @@ def _s_columns(s, n_right: int):
     cols = [0] * n_right
     for i, row in enumerate(s):
         bit = 1 << i
-        while row:
-            low = row & -row
-            cols[low.bit_length() - 1] |= bit
-            row ^= low
+        for k in positions(row):
+            cols[k] |= bit
     return cols
 
 
@@ -291,8 +288,8 @@ def _backward_attribute_ok(ctx, scol, j, k) -> bool:
     # missing from I2 (resp. R_dia2) at x2 needs an S-preimage missing from
     # I1 (resp. R_dia1) at x1.
     ic1, dc1 = ctx.ic1_col_mask[j], ctx.dc1_row_mask[j]
-    return (all(ic1 & scol[a2] for a2 in ctx.objs2.positions(ctx.ic2_col[k]))
-            and all(dc1 & scol[a2] for a2 in ctx.objs2.positions(ctx.dc2_row[k])))
+    return (all(ic1 & scol[a2] for a2 in positions(ctx.ic2_col[k]))
+            and all(dc1 & scol[a2] for a2 in positions(ctx.dc2_row[k])))
 
 
 def greatest_simulation(m1: LEModel, m2: LEModel) -> SimPair:

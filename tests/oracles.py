@@ -323,14 +323,26 @@ def greatest_classical_bisim(k1: KripkeModel, k2: KripkeModel) -> FrozenSet[Tupl
 
 # --- brute-force lattice/FCA oracles --------------------------------------
 
+def set_up(pol: Polarity, objs) -> FrozenSet[str]:
+    """B^up over the incidence pair set: attributes every object in B bears."""
+    return frozenset(x for x in pol.attributes
+                     if all((b, x) in pol.incidence for b in objs))
+
+
+def set_down(pol: Polarity, attrs) -> FrozenSet[str]:
+    """Y^down over the incidence pair set: objects bearing every attribute in Y."""
+    return frozenset(a for a in pol.objects
+                     if all((a, y) in pol.incidence for y in attrs))
+
+
 def brute_concepts(pol: Polarity) -> Set[Tuple[FrozenSet[str], FrozenSet[str]]]:
     """Close every subset of A; the set of (extent, intent) pairs."""
     out = set()
     objs = list(pol.objects)
     for r in range(len(objs) + 1):
         for combo in itertools.combinations(objs, r):
-            intent = pol.up(frozenset(combo))
-            extent = pol.down(intent)
+            intent = set_up(pol, combo)
+            extent = set_down(pol, intent)
             out.add((extent, intent))
     return out
 
@@ -358,18 +370,6 @@ def brute_filters(concept_extents: Sequence[FrozenSet[str]]) -> List[FrozenSet[i
             continue
         out.append(s)
     return out
-
-
-def set_up(pol: Polarity, objs) -> FrozenSet[str]:
-    """B^up over the incidence pair set: attributes every object in B bears."""
-    return frozenset(x for x in pol.attributes
-                     if all((b, x) in pol.incidence for b in objs))
-
-
-def set_down(pol: Polarity, attrs) -> FrozenSet[str]:
-    """Y^down over the incidence pair set: objects bearing every attribute in Y."""
-    return frozenset(a for a in pol.objects
-                     if all((a, y) in pol.incidence for y in attrs))
 
 
 def validate_reference(model: LEModel) -> List[Tuple[str, str, FrozenSet[str], FrozenSet[str]]]:

@@ -13,7 +13,7 @@ from polarity_mc.modelio import (ModelFormatError, kripke_from_dict,
 from polarity_mc.randgen import random_kripke, random_le_model
 from polarity_mc.semantics import sat_sets
 
-from oracles import kripke_truth, validate_reference
+from oracles import kripke_truth, set_down, set_up, validate_reference
 
 
 # --- Galois maps -----------------------------------------------------------
@@ -59,6 +59,14 @@ def test_galois_connection_laws(pol, data):
     # closure laws
     assert objs <= pol.down(up)
     assert pol.up(pol.down(up)) == up
+
+
+@given(polarities(), st.data())
+def test_galois_maps_match_incidence_pairs(pol, data):
+    objs = data.draw(st.sets(st.sampled_from(pol.objects))) if pol.objects else set()
+    attrs = data.draw(st.sets(st.sampled_from(pol.attributes))) if pol.attributes else set()
+    assert pol.up(objs) == galois_up(pol, objs) == set_up(pol, objs)
+    assert pol.down(attrs) == galois_down(pol, attrs) == set_down(pol, attrs)
 
 
 def test_namespace_disjointness():
