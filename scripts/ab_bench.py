@@ -13,6 +13,13 @@ parent's interquartile range over its median, and the fraction of pairs
 the change won (ties count for neither side). A gain is reported when the
 change wins at least nine tenths of the pairs and the medians differ by
 more than the parent's interquartile range.
+
+Each metric also gets a regression verdict against its ``bound`` in
+``BENCHMARK.json``: ``ok`` when every change run beats every parent run,
+``unresolved`` otherwise when the parent's interquartile range over its
+median exceeds the bound, ``worse`` when the change's median is worse than
+the parent's by more than the bound (relative to the parent's median), and
+``ok`` otherwise.
 """
 
 from __future__ import annotations
@@ -59,11 +66,24 @@ def quartiles(values):
     return q1, q2, q3
 
 
+def verdict(parent, change, better: str, bound: float) -> str:
+    """``ok``, ``worse`` or ``unresolved``: see the module docstring."""
+    sign = 1 if better == "higher" else -1
+    if min(sign * c for c in change) > max(sign * p for p in parent):
+        return "ok"
+    q1, median, q3 = quartiles(parent)
+    if not median or (q3 - q1) / median > bound:
+        return "unresolved"
+    if sign * (median - statistics.median(change)) > bound * median:
+        return "worse"
+    return "ok"
+
+
 def summarize(runs, metrics):
-    """Per-metric medians, quartiles, ratio, parent spread and wins."""
+    """Per-metric medians, quartiles, ratio, parent spread, wins and verdict."""
     out = {}
     pairs = len(runs["parent"])
-    for name, better in metrics:
+    for name, better, bound in metrics:
         parent = [r["metrics"][name]["value"] for r in runs["parent"]]
         change = [r["metrics"][name]["value"] for r in runs["change"]]
         pq, cq = quartiles(parent), quartiles(change)
@@ -79,6 +99,7 @@ def summarize(runs, metrics):
             "wins": wins,
             "pairs": pairs,
             "gain": wins >= 0.9 * pairs and gain > pq[2] - pq[0],
+            "verdict": verdict(parent, change, better, bound),
         }
     return out
 
@@ -94,7 +115,7 @@ def main(argv=None) -> int:
     with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
         bench = json.load(fh)
     seconds = bench["run_seconds"]
-    metrics = [(m["name"], m["better"]) for m in bench["end_to_end"]]
+    metrics = [(m["name"], m["better"], m["bound"]) for m in bench["end_to_end"]]
 
     tmp = tempfile.mkdtemp(prefix="ab-parent-")
     try:
@@ -120,7 +141,7 @@ def main(argv=None) -> int:
     if len(digests) != 1:
         print(f"  warning: the two sides ran different inputs ({len(digests)} digests)")
     print(f"  {'metric':<13} {'parent median [q1-q3]':<32} {'change median [q1-q3]':<32}"
-          f" {'ratio':>6} {'p.iqr':>6} {'wins':>6}  gain")
+          f" {'ratio':>6} {'p.iqr':>6} {'wins':>6}  gain  verdict")
     for name, s in summary.items():
         p, c = s["parent"], s["change"]
         ratio = f"{s['ratio']:.3f}" if s["ratio"] is not None else "-"
@@ -128,7 +149,7 @@ def main(argv=None) -> int:
                   if s["parent_iqr_over_median"] is not None else "-")
         cells = [f"{d['median']:.4g} [{d['q1']:.4g}-{d['q3']:.4g}]" for d in (p, c)]
         print(f"  {name:<13} {cells[0]:<32} {cells[1]:<32} {ratio:>6} {spread:>6}"
-              f" {s['wins']:>3}/{s['pairs']:<2}  {'yes' if s['gain'] else 'no'}")
+              f" {s['wins']:>3}/{s['pairs']:<2}  {'yes' if s['gain'] else 'no':<4}  {s['verdict']}")
     return 0
 
 

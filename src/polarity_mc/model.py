@@ -141,7 +141,10 @@ class Polarity:
     incidence: FrozenSet[Pair]
 
     def __post_init__(self):
-        objs, attrs = set(self.objects), set(self.attributes)
+        objs, attrs = frozenset(self.objects), frozenset(self.attributes)
+        # Kept for the sort checks, like ``_bits``; not dataclass fields.
+        object.__setattr__(self, "_object_set", objs)
+        object.__setattr__(self, "_attribute_set", attrs)
         if len(objs) != len(self.objects):
             raise ValueError("duplicate object identifiers")
         if len(attrs) != len(self.attributes):
@@ -163,14 +166,14 @@ class Polarity:
 
     def check_objects(self, items: Iterable[str]) -> FrozenSet[str]:
         items = _as_frozen(items)
-        bad = items - set(self.objects)
+        bad = items - self._object_set
         if bad:
             raise SortError(f"unknown object identifiers: {sorted(bad)}")
         return items
 
     def check_attributes(self, items: Iterable[str]) -> FrozenSet[str]:
         items = _as_frozen(items)
-        bad = items - set(self.attributes)
+        bad = items - self._attribute_set
         if bad:
             raise SortError(f"unknown attribute identifiers: {sorted(bad)}")
         return items
@@ -271,7 +274,7 @@ class LEModel:
     valuation: Mapping[str, Concept]
 
     def __post_init__(self):
-        objs, attrs = set(self.polarity.objects), set(self.polarity.attributes)
+        objs, attrs = self.polarity._object_set, self.polarity._attribute_set
         for a, x in self.r_box:
             if a not in objs or x not in attrs:
                 raise SortError(f"r_box pair {(a, x)!r} is not object x attribute")
@@ -436,14 +439,23 @@ def lift_kripke(k: KripkeModel) -> LEModel:
     ws = k.worlds
     objs = tuple(w + "_A" for w in ws)
     attrs = tuple(w + "_X" for w in ws)
-    inc = frozenset((u + "_A", v + "_X") for u in ws for v in ws if u != v)
-    comp = frozenset((u, v) for u in ws for v in ws if (u, v) not in k.rel)
-    r_box = frozenset((u + "_A", v + "_X") for u, v in comp)
-    r_dia = frozenset((u + "_X", v + "_A") for u, v in comp)
-    pol = Polarity(objs, attrs, inc)
+    succ: Dict[str, Set[str]] = {w: set() for w in ws}
+    for u, v in k.rel:
+        succ[u].add(v)
+    inc, r_box, r_dia = [], [], []
+    for iu, u in enumerate(ws):
+        a, x, to = objs[iu], attrs[iu], succ[u]
+        row = [(a, y) for y in attrs]  # one tuple per pair, shared by I and R_box
+        inc += row[:iu]
+        inc += row[iu + 1:]
+        for iv, v in enumerate(ws):
+            if v not in to:
+                r_box.append(row[iv])
+                r_dia.append((x, objs[iv]))
+    pol = Polarity(objs, attrs, frozenset(inc))
     val = {}
     for p in sorted(k.valuation):
         vs = k.valuation[p]
-        val[p] = Concept(frozenset(w + "_A" for w in vs),
-                         frozenset(w + "_X" for w in ws if w not in vs))
-    return LEModel(pol, r_box, r_dia, val)
+        val[p] = Concept(frozenset(a for w, a in zip(ws, objs) if w in vs),
+                         frozenset(x for w, x in zip(ws, attrs) if w not in vs))
+    return LEModel(pol, frozenset(r_box), frozenset(r_dia), val)

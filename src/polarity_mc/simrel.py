@@ -24,7 +24,7 @@ from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 from . import formula as fm
 from .lattice import (LATTICE_CAP, ConceptLattice, CapExceeded, box_op,
                       concept_lattice, dia_op)
-from .model import Concept, LEModel, Polarity, positions
+from .model import Carrier, Concept, LEModel, Polarity, meet_masks, positions
 from .semantics import sat_sets
 
 Pair = Tuple[str, str]
@@ -68,14 +68,6 @@ class SimViolation:
         return f"{where}: no witness for {self.unmatched!r}"
 
 
-def _sorted_pairs(z: Relation, m1_names: Sequence[str], m2_names: Sequence[str],
-                  what: str):
-    left, right = set(m1_names), set(m2_names)
-    for u, v in z:
-        if u not in left or v not in right:
-            raise ValueError(f"{what} pair {(u, v)!r} is not left-{what} x right-{what}")
-
-
 def _shared_variables(m1: LEModel, m2: LEModel) -> Tuple[str, ...]:
     v1, v2 = set(m1.valuation), set(m2.valuation)
     if v1 != v2:
@@ -85,70 +77,120 @@ def _shared_variables(m1: LEModel, m2: LEModel) -> Tuple[str, ...]:
 
 
 def is_simulation(m1: LEModel, m2: LEModel, z: SimPair) -> List[SimViolation]:
-    """All violated clauses of the simulation definition, empty iff z is one."""
-    return _simulation_violations(m1, m2, z, "forward")
+    """All violated clauses of the simulation definition, empty iff z is one.
 
-
-def _simulation_violations(m1: LEModel, m2: LEModel, z: SimPair,
-                           direction: str) -> List[SimViolation]:
-    _sorted_pairs(z.s, m1.objects, m2.objects, "object")
-    _sorted_pairs(z.t, m1.attributes, m2.attributes, "attribute")
-    variables = _shared_variables(m1, m2)
-    out: List[SimViolation] = []
-    i1, i2 = m1.polarity.incidence, m2.polarity.incidence
-
-    for a1, a2 in sorted(z.s):
-        for p in variables:
-            if a1 in m1.valuation[p].extent and a2 not in m2.valuation[p].extent:
-                out.append(SimViolation(1, direction, (a1, a2), prop=p))
-        for x2 in m2.attributes:
-            if (a2, x2) in i2:
-                continue
-            if not any((a1, x1) not in i1 and (x1, x2) in z.t
-                       for x1 in m1.attributes):
-                out.append(SimViolation(3, direction, (a1, a2), unmatched=x2))
-        for x2 in m2.attributes:
-            if (a2, x2) in m2.r_box:
-                continue
-            if not any((a1, x1) not in m1.r_box and (x1, x2) in z.t
-                       for x1 in m1.attributes):
-                out.append(SimViolation(5, direction, (a1, a2), unmatched=x2))
-
-    for x1, x2 in sorted(z.t):
-        for p in variables:
-            if x2 in m2.valuation[p].intent and x1 not in m1.valuation[p].intent:
-                out.append(SimViolation(2, direction, (x1, x2), prop=p))
-        for a1 in m1.objects:
-            if (a1, x1) in i1:
-                continue
-            if not any((a2, x2) not in i2 and (a1, a2) in z.s
-                       for a2 in m2.objects):
-                out.append(SimViolation(4, direction, (x1, x2), unmatched=a1))
-        for a1 in m1.objects:
-            if (x1, a1) in m1.r_dia:
-                continue
-            if not any((x2, a2) not in m2.r_dia and (a1, a2) in z.s
-                       for a2 in m2.objects):
-                out.append(SimViolation(6, direction, (x1, x2), unmatched=a1))
-
-    return out
+    Violations come pair by pair: the S pairs in sorted order (clauses 1, 3,
+    5), then the T pairs in sorted order (clauses 2, 4, 6); within a pair,
+    variables in sorted order and unmatched elements in declaration order.
+    A pair of z outside left x right raises ValueError.
+    """
+    return _violations(m1, m2, z, bisim=False)
 
 
 def is_bisimulation(m1: LEModel, m2: LEModel, z: SimPair) -> List[SimViolation]:
-    """Violations of z as a bisimulation: z forward plus its converse backward."""
-    out = _simulation_violations(m1, m2, z, "forward")
-    out.extend(_simulation_violations(m2, m1, z.converse(), "backward"))
+    """Violations of z as a bisimulation: z forward plus its converse backward.
+
+    The backward violations are those of the converse of z as a simulation
+    from m2 to m1, in the same order and naming its (right, left) pairs.
+    """
+    return _violations(m1, m2, z, bisim=True)
+
+
+def _rows(pairs: Relation, left: Carrier, right: Carrier, what: str) -> List[int]:
+    """A relation as one right-carrier mask per left position."""
+    rows = [0] * len(left.names)
+    lbit, rbit = left.bit, right.bit
+    for u, v in pairs:
+        try:
+            bu, bv = lbit[u], rbit[v]
+        except KeyError:
+            raise ValueError(f"{what} pair {(u, v)!r} is not "
+                             f"left-{what} x right-{what}") from None
+        rows[bu.bit_length() - 1] |= bv
+    return rows
+
+
+def _violations(m1: LEModel, m2: LEModel, z: SimPair, bisim: bool) -> List[SimViolation]:
+    """The violations of z, read off the refinement's kernels at z's masks."""
+    p1, p2 = m1.polarity.bits, m2.polarity.bits
+    s = _rows(z.s, p1.objs, p2.objs, "object")
+    t = _rows(z.t, p1.attrs, p2.attrs, "attribute")
+    ctx = _MaskContext(m1, m2)
+    a1n, x1n = p1.objs.names, p1.attrs.names
+    a2n, x2n = p2.objs.names, p2.attrs.names
+    ai1 = {a: i for i, a in enumerate(a1n)}
+    xi1 = {x: j for j, x in enumerate(x1n)}
+    ai2 = {a: k for k, a in enumerate(a2n)}
+    xi2 = {x: k for k, x in enumerate(x2n)}
+    props = list(zip(ctx.variables, ctx.ext1, ctx.ext2, ctx.itt1, ctx.itt2))
+    out: List[SimViolation] = []
+    add = out.append
+
+    cov_i, cov_b = ctx.attribute_cover(t)
+    for a1, a2 in sorted(z.s):
+        i, k = ai1[a1], ai2[a2]
+        pair = (a1, a2)
+        for p, e1, e2, _, _ in props:
+            if e1 >> i & 1 and not e2 >> k & 1:
+                add(SimViolation(1, "forward", pair, prop=p))
+        for x in positions(ctx.ic2_row[k] & ~cov_i[i]):
+            add(SimViolation(3, "forward", pair, unmatched=x2n[x]))
+        for x in positions(ctx.bc2_row[k] & ~cov_b[i]):
+            add(SimViolation(5, "forward", pair, unmatched=x2n[x]))
+    hit_i, hit_d = ctx.object_hits(s)
+    for x1, x2 in sorted(z.t):
+        j, k = xi1[x1], xi2[x2]
+        pair = (x1, x2)
+        for p, _, _, t1, t2 in props:
+            if t2 >> k & 1 and not t1 >> j & 1:
+                add(SimViolation(2, "forward", pair, prop=p))
+        for i in ctx.ic1_col[j]:
+            if not hit_i[i] >> k & 1:
+                add(SimViolation(4, "forward", pair, unmatched=a1n[i]))
+        for i in ctx.dc1_row[j]:
+            if not hit_d[i] >> k & 1:
+                add(SimViolation(6, "forward", pair, unmatched=a1n[i]))
+    if not bisim:
+        return out
+
+    lo_i, lo_b = ctx.attribute_hits(t)
+    for a2, a1 in sorted((v, u) for u, v in z.s):
+        i, k = ai1[a1], ai2[a2]
+        pair = (a2, a1)
+        for p, e1, e2, _, _ in props:
+            if e2 >> k & 1 and not e1 >> i & 1:
+                add(SimViolation(1, "backward", pair, prop=p))
+        for j in ctx.ic1_row[i]:
+            if not lo_i[j] >> k & 1:
+                add(SimViolation(3, "backward", pair, unmatched=x1n[j]))
+        for j in ctx.bc1_row[i]:
+            if not lo_b[j] >> k & 1:
+                add(SimViolation(5, "backward", pair, unmatched=x1n[j]))
+    cov_4, cov_6 = ctx.object_cover(s)
+    for x2, x1 in sorted((y, x) for x, y in z.t):
+        j, k = xi1[x1], xi2[x2]
+        pair = (x2, x1)
+        for p, _, _, t1, t2 in props:
+            if t1 >> j & 1 and not t2 >> k & 1:
+                add(SimViolation(2, "backward", pair, prop=p))
+        for a in positions(ctx.ic2_col[k] & ~cov_4[j]):
+            add(SimViolation(4, "backward", pair, unmatched=a2n[a]))
+        for a in positions(ctx.dc2_row[k] & ~cov_6[j]):
+            add(SimViolation(6, "backward", pair, unmatched=a2n[a]))
     return out
 
 
 class _MaskContext:
-    """Complement rows and columns of I, R_box and R_dia for a model pair.
+    """Complement rows and columns of I, R_box and R_dia for a model pair,
+    and the clause kernels over them.
 
     Everything is read off the two models' bit indexes. Elements are
     declaration positions: S is one right-object mask per left object, T
     one right-attribute mask per left attribute. Left complements are kept
-    as position lists (the clauses iterate them) and, for the converse
-    attribute clauses, as masks; right complements as masks.
+    as position lists (the clauses iterate them), right complements as
+    masks. Each clause is checked either per candidate, as a subset test of
+    a right complement against a cover of S or T, or per row, by a Galois
+    image of the right model (see the kernels).
     """
 
     def __init__(self, m1: LEModel, m2: LEModel):
@@ -158,23 +200,26 @@ class _MaskContext:
         self.objs1, self.attrs1 = p1.objs, p1.attrs
         self.objs2, self.attrs2 = p2.objs, p2.attrs
         fa1, fx1 = p1.objs.full, p1.attrs.full
-        fa2, fx2 = p2.objs.full, p2.attrs.full
+        self.fa2, self.fx2 = fa2, fx2 = p2.objs.full, p2.attrs.full
+        self.pol2, self.box_cols2, self.dia_cols2 = p2, b2.box_cols, b2.dia_cols
+        # Kernel results by row: most rows stay the same from one refinement
+        # round to the next.
+        self._object_hits: Dict[int, Tuple[int, int]] = {}
+        self._attribute_hits: Dict[int, Tuple[int, int]] = {}
 
-        self.ic1_col_mask = [fa1 & ~col for col in p1.i_cols]
-        self.dc1_row_mask = [fa1 & ~row for row in b1.dia_rows]
         self.ic1_row = [positions(fx1 & ~row) for row in p1.i_rows]
         self.bc1_row = [positions(fx1 & ~row) for row in b1.box_rows]
-        self.ic1_col = [positions(m) for m in self.ic1_col_mask]
-        self.dc1_row = [positions(m) for m in self.dc1_row_mask]
+        self.ic1_col = [positions(fa1 & ~col) for col in p1.i_cols]
+        self.dc1_row = [positions(fa1 & ~row) for row in b1.dia_rows]
         self.ic2_row = [fx2 & ~row for row in p2.i_rows]
         self.ic2_col = [fa2 & ~col for col in p2.i_cols]
         self.bc2_row = [fx2 & ~row for row in b2.box_rows]
         self.dc2_row = [fa2 & ~row for row in b2.dia_rows]
 
-        ext1 = [p1.objs.mask(m1.valuation[p].extent) for p in self.variables]
-        ext2 = [p2.objs.mask(m2.valuation[p].extent) for p in self.variables]
-        itt1 = [p1.attrs.mask(m1.valuation[p].intent) for p in self.variables]
-        itt2 = [p2.attrs.mask(m2.valuation[p].intent) for p in self.variables]
+        self.ext1 = ext1 = [p1.objs.mask(m1.valuation[p].extent) for p in self.variables]
+        self.ext2 = ext2 = [p2.objs.mask(m2.valuation[p].extent) for p in self.variables]
+        self.itt1 = itt1 = [p1.attrs.mask(m1.valuation[p].intent) for p in self.variables]
+        self.itt2 = itt2 = [p2.attrs.mask(m2.valuation[p].intent) for p in self.variables]
         # Propositionally consistent initializations (clauses 1 and 2), and
         # their biconditional variants for bisimulation refinement.
         self.s0, self.s0_bi = [], []
@@ -198,6 +243,77 @@ class _MaskContext:
             self.t0.append(allowed)
             self.t0_bi.append(allowed & allowed_bi)
 
+    # Clauses 3/5 at (a1, a2), and the converse clauses 4/6 at (x1, x2), are
+    # subset tests of a right complement row or column against a cover.
+
+    def attribute_cover(self, t) -> Tuple[List[int], List[int]]:
+        """Per left object a1, the right attributes T relates to some x1
+        outside I1 (resp. R_box1) at a1: clause 3 (resp. 5) holds at
+        (a1, a2) iff the complement of I2 (resp. R_box2) at a2 lies inside."""
+        cov_i, cov_b = [], []
+        for cols_i, cols_b in zip(self.ic1_row, self.bc1_row):
+            ci = cb = 0
+            for j in cols_i:
+                ci |= t[j]
+            for j in cols_b:
+                cb |= t[j]
+            cov_i.append(ci)
+            cov_b.append(cb)
+        return cov_i, cov_b
+
+    def object_cover(self, s) -> Tuple[List[int], List[int]]:
+        """Per left attribute x1, the right objects S relates to some a1
+        outside I1 (resp. R_dia1) at x1: converse clause 4 (resp. 6) holds at
+        (x1, x2) iff the complement of I2 (resp. R_dia2) at x2 lies inside."""
+        cov_i, cov_d = [], []
+        for rows_i, rows_d in zip(self.ic1_col, self.dc1_row):
+            ci = cd = 0
+            for i in rows_i:
+                ci |= s[i]
+            for i in rows_d:
+                cd |= s[i]
+            cov_i.append(ci)
+            cov_d.append(cd)
+        return cov_i, cov_d
+
+    # Clauses 4/6, and the converse clauses 3/5, need for each element of a
+    # complement set some partner in a complement of the right model. The
+    # right elements that S[a1] (resp. T[x1]) can serve are the complement
+    # of a Galois image: one meet per row instead of one test per candidate.
+
+    def object_hits(self, s) -> Tuple[List[int], List[int]]:
+        """Per left object a1, the right attributes x2 outside I2 (resp.
+        R_dia2) at some object of S[a1]: X2 minus up_I2(S[a1]), resp. minus
+        the R_dia2 preimage of S[a1]. Clause 4 (resp. 6) holds at (x1, x2)
+        iff x2 is in this set for every a1 outside I1 (resp. R_dia1) at x1."""
+        memo, up, dia_cols, fx2 = (self._object_hits, self.pol2.up,
+                                   self.dia_cols2, self.fx2)
+        hit_i, hit_d = [], []
+        for row in s:
+            got = memo.get(row)
+            if got is None:
+                got = memo[row] = (fx2 & ~up(row), fx2 & ~meet_masks(row, dia_cols, fx2))
+            hit_i.append(got[0])
+            hit_d.append(got[1])
+        return hit_i, hit_d
+
+    def attribute_hits(self, t) -> Tuple[List[int], List[int]]:
+        """Per left attribute x1, the right objects a2 outside I2 (resp.
+        R_box2) at some attribute of T[x1]: A2 minus down_I2(T[x1]), resp.
+        minus the R_box2 preimage of T[x1]. Converse clause 3 (resp. 5)
+        holds at (a1, a2) iff a2 is in this set for every x1 outside I1
+        (resp. R_box1) at a1."""
+        memo, down, box_cols, fa2 = (self._attribute_hits, self.pol2.down,
+                                     self.box_cols2, self.fa2)
+        lo_i, lo_b = [], []
+        for row in t:
+            got = memo.get(row)
+            if got is None:
+                got = memo[row] = (fa2 & ~down(row), fa2 & ~meet_masks(row, box_cols, fa2))
+            lo_i.append(got[0])
+            lo_b.append(got[1])
+        return lo_i, lo_b
+
     def to_simpair(self, s, t) -> SimPair:
         a2, x2 = self.objs2.names, self.attrs2.names
         sp = frozenset((a1, a2[k]) for a1, m in zip(self.objs1.names, s)
@@ -208,88 +324,57 @@ class _MaskContext:
 
 
 def _refine(ctx: _MaskContext, s, t, bisim: bool) -> Tuple[list, list, int]:
-    """Delete clause-violating pairs until none remain; simultaneous per round."""
+    """Delete clause-violating pairs until none remain; simultaneous per round.
+
+    Every round reads only the S and T it started from, so the result and
+    the round count do not depend on the order of the work within a round.
+    """
+    ic1_row, bc1_row = ctx.ic1_row, ctx.bc1_row
+    ic1_col, dc1_row = ctx.ic1_col, ctx.dc1_row
+    ic2_row, bc2_row = ctx.ic2_row, ctx.bc2_row
+    ic2_col, dc2_row = ctx.ic2_col, ctx.dc2_row
     rounds = 0
     while True:
         rounds += 1
+        cov_i, cov_b = ctx.attribute_cover(t)
+        if bisim:
+            lo_i, lo_b = ctx.attribute_hits(t)
         new_s = []
         for i, allowed in enumerate(s):
             if allowed:
-                cov_i = _or_over(t, ctx.ic1_row[i])
-                cov_b = _or_over(t, ctx.bc1_row[i])
+                if bisim:  # converse clauses 3 and 5
+                    for j in ic1_row[i]:
+                        allowed &= lo_i[j]
+                    for j in bc1_row[i]:
+                        allowed &= lo_b[j]
+                miss_i, miss_b = ~cov_i[i], ~cov_b[i]
                 keep = 0
                 for k in positions(allowed):
-                    if ctx.ic2_row[k] & ~cov_i:
-                        continue  # clause 3
-                    if ctx.bc2_row[k] & ~cov_b:
-                        continue  # clause 5
-                    if bisim and not _backward_object_ok(ctx, t, i, k):
-                        continue  # converse clauses 3 and 5
-                    keep |= 1 << k
+                    if not (ic2_row[k] & miss_i or bc2_row[k] & miss_b):
+                        keep |= 1 << k  # clauses 3 and 5
                 allowed = keep
             new_s.append(allowed)
-        scol = _s_columns(s, len(ctx.objs2.names)) if bisim else None
+        hit_i, hit_d = ctx.object_hits(s)
+        if bisim:
+            cov_4, cov_6 = ctx.object_cover(s)
         new_t = []
         for j, allowed in enumerate(t):
             if allowed:
-                keep = 0
-                for k in positions(allowed):
-                    if not _clause4_ok(ctx, s, j, k):
-                        continue
-                    if not _clause6_ok(ctx, s, j, k):
-                        continue
-                    if bisim and not _backward_attribute_ok(ctx, scol, j, k):
-                        continue
-                    keep |= 1 << k
-                allowed = keep
+                for i in ic1_col[j]:
+                    allowed &= hit_i[i]  # clause 4
+                for i in dc1_row[j]:
+                    allowed &= hit_d[i]  # clause 6
+                if bisim and allowed:
+                    miss_4, miss_6 = ~cov_4[j], ~cov_6[j]
+                    keep = 0
+                    for k in positions(allowed):
+                        if not (ic2_col[k] & miss_4 or dc2_row[k] & miss_6):
+                            keep |= 1 << k  # converse clauses 4 and 6
+                    allowed = keep
             new_t.append(allowed)
         if new_s == s and new_t == t:
             return s, t, rounds
         s, t = new_s, new_t
-
-
-def _or_over(table, keys) -> int:
-    out = 0
-    for key in keys:
-        out |= table[key]
-    return out
-
-
-def _s_columns(s, n_right: int):
-    """S by right object: the left-object mask S relates to each of them."""
-    cols = [0] * n_right
-    for i, row in enumerate(s):
-        bit = 1 << i
-        for k in positions(row):
-            cols[k] |= bit
-    return cols
-
-
-def _clause4_ok(ctx, s, j, k) -> bool:
-    ic2 = ctx.ic2_col[k]
-    return all(s[i] & ic2 for i in ctx.ic1_col[j])
-
-
-def _clause6_ok(ctx, s, j, k) -> bool:
-    dc2 = ctx.dc2_row[k]
-    return all(s[i] & dc2 for i in ctx.dc1_row[j])
-
-
-def _backward_object_ok(ctx, t, i, k) -> bool:
-    # Converse clause 3: every x1 missing from I1 at a1 needs a T-image
-    # missing from I2 at a2; converse clause 5 likewise for R_box.
-    ic2, bc2 = ctx.ic2_row[k], ctx.bc2_row[k]
-    return (all(t[j] & ic2 for j in ctx.ic1_row[i])
-            and all(t[j] & bc2 for j in ctx.bc1_row[i]))
-
-
-def _backward_attribute_ok(ctx, scol, j, k) -> bool:
-    # Converse clauses 4 and 6, pivoting on right-model objects: each one
-    # missing from I2 (resp. R_dia2) at x2 needs an S-preimage missing from
-    # I1 (resp. R_dia1) at x1.
-    ic1, dc1 = ctx.ic1_col_mask[j], ctx.dc1_row_mask[j]
-    return (all(ic1 & scol[a2] for a2 in positions(ctx.ic2_col[k]))
-            and all(dc1 & scol[a2] for a2 in positions(ctx.dc2_row[k])))
 
 
 def greatest_simulation(m1: LEModel, m2: LEModel) -> SimPair:

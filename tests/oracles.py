@@ -11,7 +11,7 @@ import itertools
 from typing import Dict, FrozenSet, List, Sequence, Set, Tuple
 
 from polarity_mc import formula as fm
-from polarity_mc.model import KripkeModel, LEModel, Polarity
+from polarity_mc.model import Concept, KripkeModel, LEModel, Polarity
 
 
 class ClauseEvaluator:
@@ -321,6 +321,22 @@ def greatest_classical_bisim(k1: KripkeModel, k2: KripkeModel) -> FrozenSet[Tupl
     return frozenset(pairs)
 
 
+def lift_kripke_reference(k: KripkeModel) -> LEModel:
+    """The lifted LE-model, built from its definition by string concatenation:
+    objects w_A and attributes w_X, incidence w_A I v_X iff w != v, R_box and
+    R_dia the complement of the accessibility relation, and p as the
+    concept (V(p)_A, (W minus V(p))_X)."""
+    ws = k.worlds
+    comp = [(u, v) for u in ws for v in ws if (u, v) not in k.rel]
+    pol = Polarity(tuple(w + "_A" for w in ws), tuple(w + "_X" for w in ws),
+                   frozenset((u + "_A", v + "_X") for u in ws for v in ws if u != v))
+    val = {p: Concept(frozenset(w + "_A" for w in vs),
+                      frozenset(w + "_X" for w in ws if w not in vs))
+           for p, vs in k.valuation.items()}
+    return LEModel(pol, frozenset((u + "_A", v + "_X") for u, v in comp),
+                   frozenset((u + "_X", v + "_A") for u, v in comp), val)
+
+
 # --- brute-force lattice/FCA oracles --------------------------------------
 
 def set_up(pol: Polarity, objs) -> FrozenSet[str]:
@@ -410,6 +426,70 @@ def validate_reference(model: LEModel) -> List[Tuple[str, str, FrozenSet[str], F
 
 # --- brute-force simulation oracles ----------------------------------------
 
+def _sim_clause_violations(m1: LEModel, m2: LEModel, z, direction: str) -> list:
+    """The six clauses checked pair by pair over the relation pair sets."""
+    from polarity_mc.simrel import SimViolation
+    for what, pairs, left, right in (("object", z.s, m1.objects, m2.objects),
+                                     ("attribute", z.t, m1.attributes, m2.attributes)):
+        left, right = set(left), set(right)
+        for u, v in pairs:
+            if u not in left or v not in right:
+                raise ValueError(f"{what} pair {(u, v)!r} is not left-{what} x right-{what}")
+    v1, v2 = set(m1.valuation), set(m2.valuation)
+    if v1 != v2:
+        raise ValueError(f"models interpret different variables: "
+                         f"{sorted(v1 ^ v2)} not shared")
+    variables = sorted(v1)
+    out = []
+    i1, i2 = m1.polarity.incidence, m2.polarity.incidence
+
+    for a1, a2 in sorted(z.s):
+        for p in variables:
+            if a1 in m1.valuation[p].extent and a2 not in m2.valuation[p].extent:
+                out.append(SimViolation(1, direction, (a1, a2), prop=p))
+        for x2 in m2.attributes:
+            if (a2, x2) in i2:
+                continue
+            if not any((a1, x1) not in i1 and (x1, x2) in z.t
+                       for x1 in m1.attributes):
+                out.append(SimViolation(3, direction, (a1, a2), unmatched=x2))
+        for x2 in m2.attributes:
+            if (a2, x2) in m2.r_box:
+                continue
+            if not any((a1, x1) not in m1.r_box and (x1, x2) in z.t
+                       for x1 in m1.attributes):
+                out.append(SimViolation(5, direction, (a1, a2), unmatched=x2))
+
+    for x1, x2 in sorted(z.t):
+        for p in variables:
+            if x2 in m2.valuation[p].intent and x1 not in m1.valuation[p].intent:
+                out.append(SimViolation(2, direction, (x1, x2), prop=p))
+        for a1 in m1.objects:
+            if (a1, x1) in i1:
+                continue
+            if not any((a2, x2) not in i2 and (a1, a2) in z.s
+                       for a2 in m2.objects):
+                out.append(SimViolation(4, direction, (x1, x2), unmatched=a1))
+        for a1 in m1.objects:
+            if (x1, a1) in m1.r_dia:
+                continue
+            if not any((x2, a2) not in m2.r_dia and (a1, a2) in z.s
+                       for a2 in m2.objects):
+                out.append(SimViolation(6, direction, (x1, x2), unmatched=a1))
+    return out
+
+
+def simulation_violations_reference(m1: LEModel, m2: LEModel, z,
+                                    bisim: bool = False) -> list:
+    """The SimViolation list of z as a simulation (or, with ``bisim``, as a
+    bisimulation: z forward, then its converse from m2 to m1 backward), read
+    off the models' relation pair sets with no bit index."""
+    out = _sim_clause_violations(m1, m2, z, "forward")
+    if bisim:
+        out.extend(_sim_clause_violations(m2, m1, z.converse(), "backward"))
+    return out
+
+
 def _prop_consistent_pairs(m1: LEModel, m2: LEModel):
     variables = sorted(m1.valuation)
     s0 = [(a1, a2) for a1 in m1.objects for a2 in m2.objects
@@ -421,8 +501,21 @@ def _prop_consistent_pairs(m1: LEModel, m2: LEModel):
     return s0, t0
 
 
-def all_simulations_union(m1: LEModel, m2: LEModel, is_simulation,
-                          limit_bits: int = 16):
+def _union_of_passing(m1: LEModel, m2: LEModel, s0, t0, bisim: bool):
+    union_s: Set[Tuple[str, str]] = set()
+    union_t: Set[Tuple[str, str]] = set()
+    from polarity_mc.simrel import SimPair
+    for sbits in range(1 << len(s0)):
+        s = frozenset(s0[i] for i in range(len(s0)) if sbits >> i & 1)
+        for tbits in range(1 << len(t0)):
+            t = frozenset(t0[i] for i in range(len(t0)) if tbits >> i & 1)
+            if not simulation_violations_reference(m1, m2, SimPair(s, t), bisim):
+                union_s |= s
+                union_t |= t
+    return frozenset(union_s), frozenset(union_t)
+
+
+def all_simulations_union(m1: LEModel, m2: LEModel, limit_bits: int = 16):
     """Union of every (S, T) passing the definitional checker, by subset enumeration.
 
     Only candidate pairs passing the propositional clauses can appear in a
@@ -432,21 +525,11 @@ def all_simulations_union(m1: LEModel, m2: LEModel, is_simulation,
     s0, t0 = _prop_consistent_pairs(m1, m2)
     if len(s0) + len(t0) > limit_bits:
         return None
-    union_s: Set[Tuple[str, str]] = set()
-    union_t: Set[Tuple[str, str]] = set()
-    from polarity_mc.simrel import SimPair
-    for sbits in range(1 << len(s0)):
-        s = frozenset(s0[i] for i in range(len(s0)) if sbits >> i & 1)
-        for tbits in range(1 << len(t0)):
-            t = frozenset(t0[i] for i in range(len(t0)) if tbits >> i & 1)
-            if not is_simulation(m1, m2, SimPair(s, t)):
-                union_s |= s
-                union_t |= t
-    return frozenset(union_s), frozenset(union_t)
+    return _union_of_passing(m1, m2, s0, t0, bisim=False)
 
 
-def all_bisimulations_union(m1: LEModel, m2: LEModel, is_bisimulation,
-                            limit_bits: int = 16):
+def all_bisimulations_union(m1: LEModel, m2: LEModel, limit_bits: int = 16):
+    """Union of every (S, T) passing the definitional bisimulation checker."""
     s0, t0 = _prop_consistent_pairs(m1, m2)
     s0 = [(a1, a2) for a1, a2 in s0
           if all(a2 not in m2.valuation[p].extent or a1 in m1.valuation[p].extent
@@ -456,14 +539,4 @@ def all_bisimulations_union(m1: LEModel, m2: LEModel, is_bisimulation,
                  for p in m1.valuation)]
     if len(s0) + len(t0) > limit_bits:
         return None
-    union_s: Set[Tuple[str, str]] = set()
-    union_t: Set[Tuple[str, str]] = set()
-    from polarity_mc.simrel import SimPair
-    for sbits in range(1 << len(s0)):
-        s = frozenset(s0[i] for i in range(len(s0)) if sbits >> i & 1)
-        for tbits in range(1 << len(t0)):
-            t = frozenset(t0[i] for i in range(len(t0)) if tbits >> i & 1)
-            if not is_bisimulation(m1, m2, SimPair(s, t)):
-                union_s |= s
-                union_t |= t
-    return frozenset(union_s), frozenset(union_t)
+    return _union_of_passing(m1, m2, s0, t0, bisim=True)

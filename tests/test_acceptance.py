@@ -17,7 +17,7 @@ import pytest
 from polarity_mc import (bisimilar_points, box_op, concept_lattice, dia_op,
                          enumerate_formulas, extension, filter_ideal_extension,
                          greatest_bisimulation, greatest_simulation, hm_check,
-                         is_bisimulation, is_simulation, lift_kripke,
+                         is_bisimulation, lift_kripke,
                          modal_equiv_oracle, parse_sequent, models_sequent,
                          ultrapower_principal, validate_model)
 from polarity_mc.fol import AtomI, AtomRbox, AtomRdia, PredA, PredX, st_g, st_m
@@ -316,7 +316,7 @@ def test_criterion_8_oracle_soundness(battery_pairs, fig1_m1, fig1_m2,
     for m1, m2 in [(fig1_m1, fig1_m2)] + small:
         if brute_checked >= 30 or time.monotonic() - start > 240:
             break
-        brute = all_simulations_union(m1, m2, is_simulation, limit_bits=16)
+        brute = all_simulations_union(m1, m2, limit_bits=16)
         if brute is None:
             continue
         z = greatest_simulation(m1, m2)

@@ -13,7 +13,8 @@ from polarity_mc.modelio import (ModelFormatError, kripke_from_dict,
 from polarity_mc.randgen import random_kripke, random_le_model
 from polarity_mc.semantics import sat_sets
 
-from oracles import kripke_truth, set_down, set_up, validate_reference
+from oracles import (kripke_truth, lift_kripke_reference, set_down, set_up,
+                     validate_reference)
 
 
 # --- Galois maps -----------------------------------------------------------
@@ -185,6 +186,20 @@ def test_lift_empty_relation_gives_full_rbox():
     lifted = lift_kripke(k)
     assert lifted.r_box == frozenset(
         (w + "_A", w2 + "_X") for w in ("u", "v") for w2 in ("u", "v"))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2 ** 16 - 1), st.integers(1, 12),
+       st.sampled_from([0.0, 0.1, 0.4, 0.9, 1.0]))
+def test_lift_matches_reference(seed, n_worlds, density):
+    k = random_kripke(random.Random(seed), max_worlds=n_worlds, density=density)
+    lifted, want = lift_kripke(k), lift_kripke_reference(k)
+    assert lifted == want
+    assert lifted.r_dia == want.r_dia
+    # Concept equality reads extents only; compare the intents as well.
+    assert {p: (c.extent, c.intent) for p, c in lifted.valuation.items()} == \
+        {p: (c.extent, c.intent) for p, c in want.valuation.items()}
+    assert list(lifted.valuation) == sorted(k.valuation)
 
 
 @settings(max_examples=60, deadline=None)

@@ -20,7 +20,7 @@ from polarity_mc.simrel import SimPair, greatest_simulation_rounds, kpower_funct
 
 from oracles import (all_bisimulations_union, all_simulations_union,
                      enumeration_relations, greatest_classical_bisim,
-                     is_classical_bisim)
+                     is_classical_bisim, simulation_violations_reference)
 
 EMPTY = SimPair(frozenset(), frozenset())
 
@@ -68,6 +68,53 @@ def test_vocabulary_mismatch_rejected(fig1_m1):
     other = LEModel.make(pol, [], [], {"r": Concept(frozenset({"a"}), frozenset())})
     with pytest.raises(ValueError, match="variables"):
         is_simulation(fig1_m1, other, EMPTY)
+
+
+def _same_verdict(check, reference):
+    """The violation list of ``check()``, or its ValueError message, equals
+    that of ``reference()``."""
+    try:
+        want = reference()
+    except ValueError as exc:
+        with pytest.raises(ValueError) as got:
+            check()
+        assert str(got.value) == str(exc)
+        return None
+    got = check()
+    assert got == want
+    return got
+
+
+def test_clause_checks_match_reference(battery_pairs, kripke_battery):
+    rng = random.Random(20250810)
+    pairs = battery_pairs + [(lift_kripke(k1), lift_kripke(k2))
+                             for k1, k2 in kripke_battery]
+    for _ in range(20):  # wider carriers than the battery's
+        pairs.append((random_le_model(rng, 8, 8), random_le_model(rng, 8, 8)))
+        pairs.append((lift_kripke(random_kripke(rng, 10)),
+                      lift_kripke(random_kripke(rng, 10))))
+    nonempty = strays = 0
+    for m1, m2 in pairs:
+        candidates = [greatest_simulation(m1, m2), greatest_bisimulation(m1, m2)]
+        for density in (0.2, 0.5, 0.8):
+            candidates.append(SimPair(*random_sim_pair(rng, m1, m2, density)))
+        s, t = random_sim_pair(rng, m1, m2, 0.5)
+        foreign = [(m1.attributes[0], m2.objects[0]), ("nowhere", m2.objects[0])]
+        candidates.append(SimPair(s | {rng.choice(foreign)}, t))
+        candidates.append(SimPair(s, t | {(m1.objects[0], m2.attributes[0])}))
+        candidates.append(SimPair(s | set(foreign), t))
+        for z in candidates:
+            for bisim, check in ((False, is_simulation), (True, is_bisimulation)):
+                got = _same_verdict(
+                    lambda: check(m1, m2, z),
+                    lambda: simulation_violations_reference(m1, m2, z, bisim))
+                if got is None:
+                    strays += 1
+                elif got:
+                    nonempty += 1
+    # every stray candidate was rejected, and most candidates fail somewhere
+    assert strays == 6 * len(pairs)
+    assert nonempty > 4 * len(pairs)
 
 
 # --- Kripke lift correspondence (Lemma 3.3) -------------------------------------
@@ -124,7 +171,7 @@ def test_greatest_simulation_is_union_of_all(battery_pairs, fig1_m1, fig1_m2):
         and max(len(m2.objects), len(m2.attributes)) <= 3]
     checked = 0
     for m1, m2 in pairs:
-        brute = all_simulations_union(m1, m2, is_simulation, limit_bits=12)
+        brute = all_simulations_union(m1, m2, limit_bits=12)
         if brute is None:
             continue
         z = greatest_simulation(m1, m2)
@@ -193,7 +240,7 @@ def test_greatest_bisimulation_is_union_of_all(battery_pairs):
         if max(len(m1.objects), len(m1.attributes),
                len(m2.objects), len(m2.attributes)) > 3:
             continue
-        brute = all_bisimulations_union(m1, m2, is_bisimulation, limit_bits=12)
+        brute = all_bisimulations_union(m1, m2, limit_bits=12)
         if brute is None:
             continue
         z = greatest_bisimulation(m1, m2)
