@@ -282,10 +282,3 @@ def enumerate_formulas(vocab: Sequence[str], depth: int,
         levels.append(new)
     return [f for level in levels for f in level]
 
-
-def count_formulas(n_vars: int, depth: int) -> int:
-    """Closed-form count of what enumerate_formulas produces."""
-    count = n_vars + 2
-    for _ in range(depth):
-        count = (n_vars + 2) + 2 * count + 2 * (count * (count - 1) // 2)
-    return count

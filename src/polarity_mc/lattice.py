@@ -4,15 +4,22 @@ filter-ideal extension of an LE-model.
 Concepts are enumerated by closing the full object set under intersection
 with attribute columns (the standard intersection method); a brute-force
 closure of all object subsets is kept in the test suite as an oracle.
+
+The lattice keeps the extent and intent masks of its concepts, and
+:func:`operator_maps` reads the complex algebra's box and diamond off them
+as index maps. Every filter of a finite lattice is principal, the up-set
+of its meet, and every ideal the down-set of its join, so the filters and
+ideals are one per concept and the filter-ideal extension has a closed
+form in O(|L|^2) on concept indices. ``FILTER_CAP`` bounds the size of
+that output, not an enumeration.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple
+from typing import FrozenSet, List, Mapping, Tuple
 
-from .model import Concept, LEModel, Polarity, preimage_mask
+from .model import Concept, LEModel, Polarity, SortError, meet_masks, preimage_mask
 
 
 class CapExceeded(ValueError):
@@ -20,7 +27,7 @@ class CapExceeded(ValueError):
 
 
 LATTICE_CAP = 64   # maximum |A| + |X| for concept enumeration
-FILTER_CAP = 12    # maximum lattice size for filter/ideal enumeration
+FILTER_CAP = 12    # maximum lattice size for the filters, ideals and extension
 
 
 @dataclass(frozen=True)
@@ -29,7 +36,10 @@ class ConceptLattice:
 
     ``concepts`` is sorted bottom-up (by extent size, then extent). The
     meet/join tables are index-valued; ``index_of`` finds a concept by its
-    extent.
+    extent. :func:`concept_lattice` also stores, as private attributes
+    that the package reads, the concepts' extent masks (``_extents``) and
+    intent masks (``_intents``) over the polarity's bit index, and the
+    index of each extent and intent mask (``_by_extent``, ``_by_intent``).
     """
 
     polarity: Polarity
@@ -41,17 +51,10 @@ class ConceptLattice:
         return len(self.concepts)
 
     def index_of(self, c: Concept) -> int:
-        index = getattr(self, "_extent_index", None)
-        if index is None:
-            index = {d.extent: i for i, d in enumerate(self.concepts)}
-            object.__setattr__(self, "_extent_index", index)
         try:
-            return index[c.extent]
-        except KeyError:
+            return self._by_extent[self.polarity.bits.objs.mask(c.extent)]
+        except (KeyError, SortError):
             raise ValueError(f"not a concept of this lattice: {sorted(c.extent)}") from None
-
-    def leq(self, c: Concept, d: Concept) -> bool:
-        return c.extent <= d.extent
 
     @property
     def bottom(self) -> Concept:
@@ -114,11 +117,37 @@ def concept_lattice(polarity: Polarity, cap: int = LATTICE_CAP) -> ConceptLattic
     intents = [bits.up(e) for e in ordered]
     concepts = tuple(Concept(objs.members(e), attrs.members(t))
                      for e, t in zip(ordered, intents))
-    by_extent = {e: i for i, e in enumerate(ordered)}.__getitem__
-    by_intent = {t: i for i, t in enumerate(intents)}.__getitem__
-    meets = tuple(tuple(map(by_extent, [e & f for f in ordered])) for e in ordered)
-    joins = tuple(tuple(map(by_intent, [t & u for u in intents])) for t in intents)
-    return ConceptLattice(polarity, concepts, meets, joins)
+    by_extent = {e: i for i, e in enumerate(ordered)}
+    by_intent = {t: i for i, t in enumerate(intents)}
+    meets = tuple(tuple(map(by_extent.__getitem__, [e & f for f in ordered])) for e in ordered)
+    joins = tuple(tuple(map(by_intent.__getitem__, [t & u for u in intents])) for t in intents)
+    lat = ConceptLattice(polarity, concepts, meets, joins)
+    for name, value in (("_extents", tuple(ordered)), ("_intents", tuple(intents)),
+                        ("_by_extent", by_extent), ("_by_intent", by_intent)):
+        object.__setattr__(lat, name, value)
+    return lat
+
+
+def operator_maps(model: LEModel, lat: ConceptLattice) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
+    """The complex algebra's box and diamond as index maps on ``lat``, the
+    concept lattice of the model's polarity.
+
+    The box of concept i has the R_box preimage of its intent as extent;
+    the diamond has the R_dia preimage of its extent as intent. Both are
+    Galois-stable on a model that passes ``validate_model``; an image that
+    is not raises ValueError.
+    """
+    bits = model.bits
+    objs, attrs = bits.pol.objs, bits.pol.attrs
+    box_map = [lat._by_extent.get(meet_masks(t, bits.box_cols, objs.full))
+               for t in lat._intents]
+    dia_map = [lat._by_intent.get(meet_masks(e, bits.dia_cols, attrs.full))
+               for e in lat._extents]
+    for op, images in (("box", box_map), ("dia", dia_map)):
+        if None in images:
+            raise ValueError(f"{op} of concept {images.index(None)} is not "
+                             f"Galois-stable: the model is not I-compatible")
+    return tuple(box_map), tuple(dia_map)
 
 
 def box_op(model: LEModel, c: Concept) -> Concept:
@@ -149,62 +178,42 @@ class Ideal:
     members: FrozenSet[Concept]
 
 
-def _up_closed(lat: ConceptLattice, idxs: FrozenSet[int]) -> bool:
-    return all(j in idxs
-               for i in idxs for j in range(len(lat))
-               if lat.concepts[i].extent <= lat.concepts[j].extent)
-
-
-def _down_closed(lat: ConceptLattice, idxs: FrozenSet[int]) -> bool:
-    return all(j in idxs
-               for i in idxs for j in range(len(lat))
-               if lat.concepts[j].extent <= lat.concepts[i].extent)
-
-
-def all_filters(lat: ConceptLattice, cap: int = FILTER_CAP) -> List[Filter]:
-    """Every filter of the lattice, including principal ones and the whole carrier."""
-    idx_sets = _all_filter_index_sets(lat, cap)
-    return [Filter(frozenset(lat.concepts[i] for i in s)) for s in idx_sets]
-
-
-def all_ideals(lat: ConceptLattice, cap: int = FILTER_CAP) -> List[Ideal]:
-    """Every ideal of the lattice, dually to :func:`all_filters`."""
-    idx_sets = _all_ideal_index_sets(lat, cap)
-    return [Ideal(frozenset(lat.concepts[i] for i in s)) for s in idx_sets]
-
-
 def _check_filter_cap(lat: ConceptLattice, cap: int):
     if len(lat) > cap:
         raise CapExceeded(f"lattice has {len(lat)} concepts, "
                           f"filter enumeration cap is {cap}")
 
 
-def _all_filter_index_sets(lat: ConceptLattice, cap: int) -> List[FrozenSet[int]]:
+def _principal_sets(lat: ConceptLattice, cap: int,
+                    upward: bool) -> Tuple[List[int], List[Tuple[int, ...]]]:
+    """The up-sets (or down-sets) of every concept as ascending index tuples,
+    indexed by concept, and the concepts in the order of their sets by
+    (size, indices)."""
     _check_filter_cap(lat, cap)
-    n = len(lat)
-    out = []
-    for bits in itertools.product((False, True), repeat=n):
-        idxs = frozenset(i for i in range(n) if bits[i])
-        if not idxs or not _up_closed(lat, idxs):
-            continue
-        if all(lat.meet_table[i][j] in idxs for i in idxs for j in idxs):
-            out.append(idxs)
-    out.sort(key=lambda s: (len(s), tuple(sorted(s))))
-    return out
+    ext = lat._extents
+    if upward:
+        sets = [tuple(j for j, f in enumerate(ext) if not e & ~f) for e in ext]
+    else:
+        sets = [tuple(j for j, f in enumerate(ext) if not f & ~e) for e in ext]
+    order = sorted(range(len(ext)), key=lambda c: (len(sets[c]), sets[c]))
+    return order, sets
 
 
-def _all_ideal_index_sets(lat: ConceptLattice, cap: int) -> List[FrozenSet[int]]:
-    _check_filter_cap(lat, cap)
-    n = len(lat)
-    out = []
-    for bits in itertools.product((False, True), repeat=n):
-        idxs = frozenset(i for i in range(n) if bits[i])
-        if not idxs or not _down_closed(lat, idxs):
-            continue
-        if all(lat.join_table[i][j] in idxs for i in idxs for j in idxs):
-            out.append(idxs)
-    out.sort(key=lambda s: (len(s), tuple(sorted(s))))
-    return out
+def _members(lat: ConceptLattice, idxs: Tuple[int, ...]) -> FrozenSet[Concept]:
+    return frozenset(lat.concepts[j] for j in idxs)
+
+
+def all_filters(lat: ConceptLattice, cap: int = FILTER_CAP) -> List[Filter]:
+    """Every filter of the lattice: the principal filter of each concept,
+    ordered by (size, sorted concept indices)."""
+    order, ups = _principal_sets(lat, cap, upward=True)
+    return [Filter(_members(lat, ups[c])) for c in order]
+
+
+def all_ideals(lat: ConceptLattice, cap: int = FILTER_CAP) -> List[Ideal]:
+    """Every ideal of the lattice, dually to :func:`all_filters`."""
+    order, downs = _principal_sets(lat, cap, upward=False)
+    return [Ideal(_members(lat, downs[c])) for c in order]
 
 
 def principal_filter(lat: ConceptLattice, c: Concept) -> Filter:
@@ -250,47 +259,40 @@ def filter_ideal_extension(model: LEModel, lattice_cap: int = LATTICE_CAP,
     when J contains a concept whose box lies in F; J R_dia F when F
     contains a concept whose diamond lies in J. Each variable p is sent to
     the pair ({F | V(p) in F}, {J | V(p) in J}).
+
+    With F = up(c) and J = down(d), and box and diamond monotone, these
+    read: F I J iff c <= d, F R_box J iff c <= box d, J R_dia F iff
+    dia c <= d, and V(p) in up(d) iff d <= V(p).
     """
     lat = concept_lattice(model.polarity, lattice_cap)
-    filters = tuple(all_filters(lat, filter_cap))
-    ideals = tuple(all_ideals(lat, filter_cap))
-    fnames = ["F" + str(i) for i in range(len(filters))]
-    jnames = ["J" + str(i) for i in range(len(ideals))]
+    box_map, dia_map = operator_maps(model, lat)
+    f_order, ups = _principal_sets(lat, filter_cap, upward=True)
+    j_order, downs = _principal_sets(lat, filter_cap, upward=False)
+    n = len(lat)
+    fnames, jnames = [""] * n, [""] * n
+    for k, c in enumerate(f_order):
+        fnames[c] = "F" + str(k)
+    for k, d in enumerate(j_order):
+        jnames[d] = "J" + str(k)
 
-    incidence = set()
-    r_box = set()
-    r_dia = set()
-    boxed = {c: box_op(model, c) for c in lat.concepts}
-    diaed = {c: dia_op(model, c) for c in lat.concepts}
-    for fi, f in enumerate(filters):
-        for ji, j in enumerate(ideals):
-            if f.members & j.members:
-                incidence.add((fnames[fi], jnames[ji]))
-            if any(boxed[c] in f.members for c in j.members):
-                r_box.add((fnames[fi], jnames[ji]))
-            if any(diaed[c] in j.members for c in f.members):
-                r_dia.add((jnames[ji], fnames[fi]))
-
-    pol = Polarity(tuple(fnames), tuple(jnames), frozenset(incidence))
+    incidence = frozenset((fnames[c], jnames[d]) for c in range(n) for d in ups[c])
+    r_box = frozenset((fnames[c], jnames[d]) for d in range(n) for c in downs[box_map[d]])
+    r_dia = frozenset((jnames[d], fnames[c]) for c in range(n) for d in ups[dia_map[c]])
+    pol = Polarity(tuple(fnames[c] for c in f_order), tuple(jnames[d] for d in j_order),
+                   incidence)
     valuation = {}
     for p in sorted(model.valuation):
-        c = model.valuation[p]
-        lat.index_of(c)  # valuation entries must be concepts to extend
-        valuation[p] = Concept(
-            frozenset(fnames[i] for i, f in enumerate(filters) if c in f.members),
-            frozenset(jnames[i] for i, j in enumerate(ideals) if c in j.members))
-    extension_model = LEModel(pol, frozenset(r_box), frozenset(r_dia), valuation)
+        c = lat.index_of(model.valuation[p])
+        valuation[p] = Concept(frozenset(fnames[d] for d in downs[c]),
+                               frozenset(jnames[d] for d in ups[c]))
+    extension_model = LEModel(pol, r_box, r_dia, valuation)
 
-    object_image = {}
-    for a in model.objects:
-        gen = lat.object_generator(a)
-        members = frozenset(d for d in lat.concepts if gen.extent <= d.extent)
-        object_image[a] = fnames[filters.index(Filter(members))]
-    attribute_image = {}
-    for x in model.attributes:
-        gen = lat.attribute_generator(x)
-        members = frozenset(d for d in lat.concepts if d.extent <= gen.extent)
-        attribute_image[x] = jnames[ideals.index(Ideal(members))]
-
-    return FIExtension(extension_model, lat, filters, ideals,
+    bits = model.polarity.bits
+    object_image = {a: fnames[lat._by_extent[bits.down(bits.up(bit))]]
+                    for a, bit in bits.objs.bit.items()}
+    attribute_image = {x: jnames[lat._by_extent[bits.down(bit)]]
+                       for x, bit in bits.attrs.bit.items()}
+    return FIExtension(extension_model, lat,
+                       tuple(Filter(_members(lat, ups[c])) for c in f_order),
+                       tuple(Ideal(_members(lat, downs[d])) for d in j_order),
                        object_image, attribute_image)

@@ -197,14 +197,6 @@ class Polarity:
         bits = self.bits
         return bits.objs.members(bits.down(bits.attrs.mask(_as_frozen(attrs))))
 
-    def stable_objects(self, objs: Iterable[str]) -> bool:
-        objs = self.check_objects(objs)
-        return self.down(self.up(objs)) == objs
-
-    def stable_attributes(self, attrs: Iterable[str]) -> bool:
-        attrs = self.check_attributes(attrs)
-        return self.up(self.down(attrs)) == attrs
-
 
 def galois_up(polarity: Polarity, objs: Iterable[str]) -> FrozenSet[str]:
     """Attributes shared by every object in ``objs`` (the up map of I)."""
@@ -234,9 +226,6 @@ class Concept:
 
     def __hash__(self):
         return hash(self.extent)
-
-    def leq(self, other: "Concept") -> bool:
-        return self.extent <= other.extent
 
 
 def make_concept(polarity: Polarity, objs: Iterable[str]) -> Concept:

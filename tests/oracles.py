@@ -11,7 +11,9 @@ import itertools
 from typing import Dict, FrozenSet, List, Sequence, Set, Tuple
 
 from polarity_mc import formula as fm
+from polarity_mc.lattice import CapExceeded, ConceptLattice
 from polarity_mc.model import Concept, KripkeModel, LEModel, Polarity
+from polarity_mc.simrel import POWER_CAP
 
 
 class ClauseEvaluator:
@@ -251,6 +253,14 @@ def relations_from_quads(m1: LEModel, m2: LEModel, quads):
     return forward_a, forward_x, backward_a, backward_x
 
 
+def count_formulas(n_vars: int, depth: int) -> int:
+    """Closed-form count of what enumerate_formulas produces."""
+    count = n_vars + 2
+    for _ in range(depth):
+        count = (n_vars + 2) + 2 * count + 2 * (count * (count - 1) // 2)
+    return count
+
+
 # --- classical Kripke semantics -------------------------------------------
 
 def kripke_truth(k: KripkeModel, phi: fm.ModalFormula, memo=None) -> FrozenSet[str]:
@@ -388,6 +398,32 @@ def brute_filters(concept_extents: Sequence[FrozenSet[str]]) -> List[FrozenSet[i
     return out
 
 
+def box_map_reference(model: LEModel, lat: ConceptLattice) -> Tuple[int, ...]:
+    """The box of every concept as an index of ``lat``, read off the R_box
+    pair set: the objects R_box-related to every attribute of the intent."""
+    pol = model.polarity
+    out = []
+    for c in lat.concepts:
+        extent = frozenset(a for a in pol.objects
+                           if all((a, x) in model.r_box for x in c.intent))
+        assert set_down(pol, set_up(pol, extent)) == extent, "box image not stable"
+        out.append(next(j for j, d in enumerate(lat.concepts) if d.extent == extent))
+    return tuple(out)
+
+
+def dia_map_reference(model: LEModel, lat: ConceptLattice) -> Tuple[int, ...]:
+    """The diamond of every concept as an index of ``lat``, read off the R_dia
+    pair set: the attributes R_dia-related to every object of the extent."""
+    pol = model.polarity
+    out = []
+    for c in lat.concepts:
+        intent = frozenset(x for x in pol.attributes
+                           if all((x, a) in model.r_dia for a in c.extent))
+        assert set_up(pol, set_down(pol, intent)) == intent, "dia image not stable"
+        out.append(next(j for j, d in enumerate(lat.concepts) if d.intent == intent))
+    return tuple(out)
+
+
 def validate_reference(model: LEModel) -> List[Tuple[str, str, FrozenSet[str], FrozenSet[str]]]:
     """The violations of the LE-model conditions as (kind, subject, found,
     expected), in report order, read off the relation pair sets directly."""
@@ -488,6 +524,16 @@ def simulation_violations_reference(m1: LEModel, m2: LEModel, z,
     if bisim:
         out.extend(_sim_clause_violations(m2, m1, z.converse(), "backward"))
     return out
+
+
+def kpower_functions(model: LEModel, k: int,
+                     cap: int = POWER_CAP) -> Tuple[List[Tuple[str, ...]], List[Tuple[str, ...]]]:
+    """All object- and attribute-sort functions of the K-power (for Los checks)."""
+    n_a, n_x = len(model.objects), len(model.attributes)
+    if n_a ** k > cap or n_x ** k > cap:
+        raise CapExceeded(f"K-power carrier {max(n_a, n_x)}^{k} exceeds cap {cap}")
+    return (list(itertools.product(model.objects, repeat=k)),
+            list(itertools.product(model.attributes, repeat=k)))
 
 
 def _prop_consistent_pairs(m1: LEModel, m2: LEModel):

@@ -23,12 +23,12 @@ from polarity_mc import (bisimilar_points, box_op, concept_lattice, dia_op,
 from polarity_mc.fol import AtomI, AtomRbox, AtomRdia, PredA, PredX, st_g, st_m
 from polarity_mc.semantics import (SortedValuation, fol_eval, fol_sat_points,
                                    sat_sets)
-from polarity_mc.simrel import SimPair, kpower_functions
+from polarity_mc.simrel import SimPair
 
 from oracles import (ClauseEvaluator, all_simulations_union,
                      enumeration_relations, greatest_classical_bisim,
-                     is_classical_bisim, relations_from_quads,
-                     semantic_quadruples)
+                     is_classical_bisim, kpower_functions,
+                     relations_from_quads, semantic_quadruples)
 
 VOCAB = ("p", "q")
 DEPTH = 3

@@ -8,12 +8,15 @@ from hypothesis import strategies as st
 from polarity_mc import (CapExceeded, Concept, Filter, Ideal, LEModel,
                          Polarity, all_filters, all_ideals, box_op,
                          concept_lattice, dia_op, enumerate_formulas,
-                         filter_ideal_extension, lift_kripke, principal_filter,
+                         filter_ideal_extension, lift_kripke,
+                         modal_equiv_oracle, principal_filter,
                          principal_ideal, validate_model)
+from polarity_mc.lattice import operator_maps
 from polarity_mc.randgen import random_kripke, random_le_model
 from polarity_mc.semantics import sat_sets
 
-from oracles import brute_concepts, brute_filters, set_down
+from oracles import (box_map_reference, brute_concepts, brute_filters,
+                     dia_map_reference, set_down)
 from test_model import polarities
 
 
@@ -130,6 +133,44 @@ def test_operators_preserve_meets_and_joins(battery_models):
                 lat.join(dia_op(model, c), dia_op(model, d))
 
 
+def test_operator_maps_match_pair_sets(all_fixture_models, battery_models):
+    # box/dia index maps against the same operators read off the R_box and
+    # R_dia pair sets, cell by cell
+    rng = random.Random(11)
+    lifted = [lift_kripke(random_kripke(rng, max_worlds=n))
+              for n in range(1, 7) for _ in range(3)]
+    models = list(all_fixture_models.values()) + battery_models + lifted
+    for model in models:
+        lat = concept_lattice(model.polarity)
+        box_map, dia_map = operator_maps(model, lat)
+        assert box_map == box_map_reference(model, lat)
+        assert dia_map == dia_map_reference(model, lat)
+
+
+def _incompatible_model():
+    # I is empty, so the stable object sets are {} and {a, b}; the R_box
+    # column of x and the R_dia column of a are {a} and {x}, not stable
+    pol = Polarity.make(["a", "b"], ["x", "y"], [])
+    return LEModel.make(pol, [("a", "x"), ("a", "y")], [("x", "a"), ("x", "b")],
+                        {"p": Concept(frozenset({"a", "b"}), frozenset())})
+
+
+def test_invalid_model_operators_raise():
+    model = _incompatible_model()
+    assert {v.kind for v in validate_model(model)} == {"r_box_col", "r_dia_col"}
+    lat = concept_lattice(model.polarity)
+    with pytest.raises(ValueError, match="not Galois-stable"):
+        operator_maps(model, lat)
+    with pytest.raises(ValueError, match="not Galois-stable"):
+        filter_ideal_extension(model)
+    with pytest.raises(ValueError, match="not Galois-stable"):
+        modal_equiv_oracle(model, model)
+    # the diamond alone: a compatible R_box leaves only dia unstable
+    only_dia = LEModel(model.polarity, frozenset(), model.r_dia, model.valuation)
+    with pytest.raises(ValueError, match="dia of concept 1"):
+        operator_maps(only_dia, lat)
+
+
 def test_operators_land_on_concepts(battery_models):
     for model in battery_models[:30]:
         pol = model.polarity
@@ -171,13 +212,13 @@ def test_filters_match_brute_force(battery_models):
         lat = concept_lattice(model.polarity)
         if len(lat) > 8:
             continue
-        extents = [c.extent for c in lat.concepts]
-        expected = {frozenset(lat.concepts[i] for i in s)
-                    for s in brute_filters(extents)}
-        assert {f.members for f in all_filters(lat)} == expected
+        # ideals are the filters of the dual order, intent inclusion
+        for found, by in ((all_filters(lat), [c.extent for c in lat.concepts]),
+                          (all_ideals(lat), [c.intent for c in lat.concepts])):
+            expected = sorted(brute_filters(by), key=lambda s: (len(s), sorted(s)))
+            assert [f.members for f in found] == \
+                [frozenset(lat.concepts[i] for i in s) for s in expected]
         checked += 1
-        if checked >= 25:
-            break
     assert checked >= 10
 
 

@@ -16,11 +16,12 @@ from polarity_mc.formula import BOT, TOP, Var
 from polarity_mc.fol import G, M, AtomI, AtomRbox, AtomRdia, PredA, PredX, st_g
 from polarity_mc.randgen import random_kripke, random_le_model, random_sim_pair
 from polarity_mc.semantics import SortedValuation, fol_eval, sat_sets, satisfies_a
-from polarity_mc.simrel import SimPair, greatest_simulation_rounds, kpower_functions
+from polarity_mc.simrel import SimPair, greatest_simulation_rounds
 
 from oracles import (all_bisimulations_union, all_simulations_union,
                      enumeration_relations, greatest_classical_bisim,
-                     is_classical_bisim, simulation_violations_reference)
+                     is_classical_bisim, kpower_functions,
+                     simulation_violations_reference)
 
 EMPTY = SimPair(frozenset(), frozenset())
 
