@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from . import fol
@@ -25,28 +24,6 @@ from .semantics import (SortedValuation, UnknownVariable, extension,
                         models_sequent, satisfies_a, satisfies_x)
 from .simrel import (SimPair, bisimilar_points, greatest_bisimulation,
                      greatest_simulation, hm_check, ultrapower_principal)
-
-
-@dataclass
-class RunConfig:
-    """One resolved CLI invocation."""
-
-    subcommand: str
-    model: Optional[str] = None
-    left: Optional[str] = None
-    right: Optional[str] = None
-    kripke: Optional[str] = None
-    point: Optional[str] = None
-    formula: Optional[str] = None
-    sequent: Optional[str] = None
-    side: Optional[str] = None
-    sort: Optional[str] = None
-    out: Optional[str] = None
-    dot: Optional[str] = None
-    k: int = 2
-    k0: int = 0
-    as_json: bool = False
-    caps: Caps = field(default_factory=Caps)
 
 
 def _warn(msg: str) -> None:
@@ -75,9 +52,9 @@ def _relation_lines(rel, arrow="->"):
     return [f"{u} {arrow} {v}" for u, v in sorted(rel)]
 
 
-def cmd_parse(cfg: RunConfig) -> int:
-    phi = parse_formula(cfg.formula)
-    if cfg.as_json:
+def cmd_parse(args: argparse.Namespace) -> int:
+    phi = parse_formula(args.formula)
+    if args.as_json:
         def ast(f):
             if isinstance(f, fm.Var):
                 return {"var": f.name}
@@ -98,31 +75,31 @@ def cmd_parse(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_sat(cfg: RunConfig) -> int:
-    model = _load(cfg.model)
-    phi = parse_formula(cfg.formula)
-    if cfg.side == "a":
-        return _bool_answer(satisfies_a(model, cfg.point, phi))
-    return _bool_answer(satisfies_x(model, cfg.point, phi))
+def cmd_sat(args: argparse.Namespace) -> int:
+    model = _load(args.model)
+    phi = parse_formula(args.formula)
+    if args.side == "a":
+        return _bool_answer(satisfies_a(model, args.point, phi))
+    return _bool_answer(satisfies_x(model, args.point, phi))
 
 
-def cmd_check(cfg: RunConfig) -> int:
-    model = _load(cfg.model)
-    seq = parse_sequent(cfg.sequent)
+def cmd_check(args: argparse.Namespace) -> int:
+    model = _load(args.model)
+    seq = parse_sequent(args.sequent)
     return _bool_answer(models_sequent(model, seq))
 
 
-def cmd_translate(cfg: RunConfig) -> int:
-    phi = parse_formula(cfg.formula)
-    translated = fol.st_g(phi) if cfg.sort == "g" else fol.st_m(phi)
+def cmd_translate(args: argparse.Namespace) -> int:
+    phi = parse_formula(args.formula)
+    translated = fol.st_g(phi) if args.sort == "g" else fol.st_m(phi)
     print(fol.print_fo(translated))
     return 0
 
 
-def cmd_lattice(cfg: RunConfig) -> int:
-    model = _load(cfg.model)
-    lat = concept_lattice(model.polarity, cfg.caps.lattice)
-    if cfg.as_json:
+def cmd_lattice(args: argparse.Namespace) -> int:
+    model = _load(args.model)
+    lat = concept_lattice(model.polarity, args.caps.lattice)
+    if args.as_json:
         print(json.dumps([_concept_json(c) for c in lat.concepts], sort_keys=True))
     else:
         print(f"{len(lat)} concepts")
@@ -132,10 +109,10 @@ def cmd_lattice(cfg: RunConfig) -> int:
             print(f"C{i} = ({{{ext}}}, {{{itt}}})")
         for i, j in lat.covers():
             print(f"C{i} < C{j}")
-    if cfg.dot:
-        with open(cfg.dot, "w") as fh:
+    if args.dot:
+        with open(args.dot, "w") as fh:
             fh.write(hasse_dot(lat))
-        print(f"wrote {cfg.dot}")
+        print(f"wrote {args.dot}")
     return 0
 
 
@@ -164,19 +141,19 @@ def _print_simpair(z: SimPair, as_json: bool) -> None:
         print("  " + line)
 
 
-def cmd_sim(cfg: RunConfig) -> int:
-    _print_simpair(greatest_simulation(_load(cfg.left), _load(cfg.right)), cfg.as_json)
+def cmd_sim(args: argparse.Namespace) -> int:
+    _print_simpair(greatest_simulation(_load(args.left), _load(args.right)), args.as_json)
     return 0
 
 
-def cmd_bisim(cfg: RunConfig) -> int:
-    _print_simpair(greatest_bisimulation(_load(cfg.left), _load(cfg.right)), cfg.as_json)
+def cmd_bisim(args: argparse.Namespace) -> int:
+    _print_simpair(greatest_bisimulation(_load(args.left), _load(args.right)), args.as_json)
     return 0
 
 
-def cmd_bisimilar(cfg: RunConfig) -> int:
-    objects, attributes = bisimilar_points(_load(cfg.left), _load(cfg.right))
-    if cfg.as_json:
+def cmd_bisimilar(args: argparse.Namespace) -> int:
+    objects, attributes = bisimilar_points(_load(args.left), _load(args.right))
+    if args.as_json:
         print(json.dumps({"objects": sorted([a, b] for a, b in objects),
                           "attributes": sorted([x, y] for x, y in attributes)},
                          sort_keys=True))
@@ -190,8 +167,8 @@ def cmd_bisimilar(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_hm_verify(cfg: RunConfig) -> int:
-    report = hm_check(_load(cfg.left), _load(cfg.right), cfg.caps.lattice)
+def cmd_hm_verify(args: argparse.Namespace) -> int:
+    report = hm_check(_load(args.left), _load(args.right), args.caps.lattice)
     if report.ok:
         print("ok: modal equivalence matches the greatest simulations")
         return 0
@@ -201,10 +178,10 @@ def cmd_hm_verify(cfg: RunConfig) -> int:
     return 1
 
 
-def cmd_fi_extend(cfg: RunConfig) -> int:
-    model = _load(cfg.model)
-    ext = filter_ideal_extension(model, cfg.caps.lattice, cfg.caps.filters)
-    save_model(ext.model, cfg.out)
+def cmd_fi_extend(args: argparse.Namespace) -> int:
+    model = _load(args.model)
+    ext = filter_ideal_extension(model, args.caps.lattice, args.caps.filters)
+    save_model(ext.model, args.out)
     legend = {
         "concepts": [_concept_json(c) for c in ext.lattice.concepts],
         "filters": {ext.filter_name(f): sorted(ext.lattice.index_of(c)
@@ -216,43 +193,43 @@ def cmd_fi_extend(cfg: RunConfig) -> int:
         "object_image": dict(sorted(ext.object_image.items())),
         "attribute_image": dict(sorted(ext.attribute_image.items())),
     }
-    legend_path = cfg.out + ".legend.json"
+    legend_path = args.out + ".legend.json"
     with open(legend_path, "w") as fh:
         json.dump(legend, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    print(f"wrote {cfg.out} ({len(ext.filters)} filters, {len(ext.ideals)} ideals) "
+    print(f"wrote {args.out} ({len(ext.filters)} filters, {len(ext.ideals)} ideals) "
           f"and {legend_path}")
     return 0
 
 
-def cmd_lift(cfg: RunConfig) -> int:
-    lifted = lift_kripke(load_kripke(cfg.kripke))
-    if cfg.out:
-        save_model(lifted, cfg.out)
-        print(f"wrote {cfg.out}")
+def cmd_lift(args: argparse.Namespace) -> int:
+    lifted = lift_kripke(load_kripke(args.kripke))
+    if args.out:
+        save_model(lifted, args.out)
+        print(f"wrote {args.out}")
     else:
         print(json.dumps(model_to_dict(lifted), indent=2, sort_keys=True))
     return 0
 
 
-def cmd_ultrapower(cfg: RunConfig) -> int:
-    model = _load(cfg.model)
-    power = ultrapower_principal(model, cfg.k, cfg.k0, cfg.caps.power)
+def cmd_ultrapower(args: argparse.Namespace) -> int:
+    model = _load(args.model)
+    power = ultrapower_principal(model, args.k, args.k0, args.caps.power)
     doc = {"k": power.k, "k0": power.k0,
            "model": model_to_dict(power.model),
            "iso": dict(sorted(power.iso.items()))}
-    if cfg.out:
-        with open(cfg.out, "w") as fh:
+    if args.out:
+        with open(args.out, "w") as fh:
             json.dump(doc, fh, indent=2, sort_keys=True)
             fh.write("\n")
-        print(f"wrote {cfg.out}")
+        print(f"wrote {args.out}")
     else:
         print(json.dumps(doc, indent=2, sort_keys=True))
     return 0
 
 
-def cmd_validate(cfg: RunConfig) -> int:
-    model = load_model(cfg.model, warn=_warn)
+def cmd_validate(args: argparse.Namespace) -> int:
+    model = load_model(args.model, warn=_warn)
     problems = validate_model(model)
     if not problems:
         print("ok: valid LE-model")
@@ -339,32 +316,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def config_from_args(args: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig(subcommand=args.subcommand, caps=Caps.from_env())
-    for name in ("model", "left", "right", "kripke", "point", "formula",
-                 "sequent", "side", "sort", "out", "dot", "k", "k0", "as_json"):
-        if hasattr(args, name):
-            setattr(cfg, name, getattr(args, name))
-    return cfg
-
-
-def run(cfg: RunConfig) -> int:
+def main(argv: Optional[Sequence[str]] = None) -> int:
+    args = build_parser().parse_args(argv)
     try:
-        return _COMMANDS[cfg.subcommand](cfg)
+        args.caps = Caps.from_env()
+        return _COMMANDS[args.subcommand](args)
     except (ParseError, ModelFormatError, SortError, CapExceeded,
             UnknownVariable, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-
-
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
-    try:
-        cfg = config_from_args(args)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    return run(cfg)
 
 
 if __name__ == "__main__":

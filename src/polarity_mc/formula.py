@@ -71,16 +71,6 @@ class Sequent:
     rhs: ModalFormula
 
 
-def variables_of(phi: ModalFormula) -> frozenset:
-    if isinstance(phi, Var):
-        return frozenset([phi.name])
-    if isinstance(phi, (Top, Bot)):
-        return frozenset()
-    if isinstance(phi, (And, Or)):
-        return variables_of(phi.left) | variables_of(phi.right)
-    return variables_of(phi.inner)
-
-
 def size_of(phi: ModalFormula) -> int:
     if isinstance(phi, (Var, Top, Bot)):
         return 1

@@ -34,18 +34,18 @@ FILTER_CAP = 12    # maximum lattice size for the filters, ideals and extension
 class ConceptLattice:
     """All formal concepts of a polarity, ordered by extent inclusion.
 
-    ``concepts`` is sorted bottom-up (by extent size, then extent). The
-    meet/join tables are index-valued; ``index_of`` finds a concept by its
-    extent. :func:`concept_lattice` also stores, as private attributes
-    that the package reads, the concepts' extent masks (``_extents``) and
-    intent masks (``_intents``) over the polarity's bit index, and the
-    index of each extent and intent mask (``_by_extent``, ``_by_intent``).
+    ``concepts`` is sorted bottom-up (by extent size, then extent);
+    ``index_of`` finds a concept by its extent. :func:`concept_lattice`
+    also stores, as private attributes that the package reads, the
+    concepts' extent masks (``_extents``) and intent masks (``_intents``)
+    over the polarity's bit index, and the index of each extent and intent
+    mask (``_by_extent``, ``_by_intent``). Extents and intents are closed
+    under intersection, so a meet is one AND of extents and a join one AND
+    of intents.
     """
 
     polarity: Polarity
     concepts: Tuple[Concept, ...]
-    meet_table: Tuple[Tuple[int, ...], ...]
-    join_table: Tuple[Tuple[int, ...], ...]
 
     def __len__(self):
         return len(self.concepts)
@@ -65,10 +65,12 @@ class ConceptLattice:
         return self.concepts[-1]
 
     def meet(self, c: Concept, d: Concept) -> Concept:
-        return self.concepts[self.meet_table[self.index_of(c)][self.index_of(d)]]
+        ext = self._extents
+        return self.concepts[self._by_extent[ext[self.index_of(c)] & ext[self.index_of(d)]]]
 
     def join(self, c: Concept, d: Concept) -> Concept:
-        return self.concepts[self.join_table[self.index_of(c)][self.index_of(d)]]
+        itt = self._intents
+        return self.concepts[self._by_intent[itt[self.index_of(c)] & itt[self.index_of(d)]]]
 
     def object_generator(self, a: str) -> Concept:
         """The smallest concept whose extent contains the object a."""
@@ -83,15 +85,17 @@ class ConceptLattice:
         return Concept(extent, pol.up(extent))
 
     def covers(self) -> List[Tuple[int, int]]:
-        """The covering pairs (i, j) of the Hasse diagram, i covered by j."""
-        n = len(self.concepts)
-        less = [[self.concepts[i].extent < self.concepts[j].extent
-                 for j in range(n)] for i in range(n)]
+        """The covering pairs (i, j) of the Hasse diagram, i covered by j.
+
+        The upper covers of a concept are the minimal closures of its
+        extent plus one object outside it.
+        """
+        bits, by_extent = self.polarity.bits, self._by_extent
         out = []
-        for i in range(n):
-            for j in range(n):
-                if less[i][j] and not any(less[i][k] and less[k][j] for k in range(n)):
-                    out.append((i, j))
+        for i, e in enumerate(self._extents):
+            ups = {bits.down(bits.up(e | b)) for b in bits.objs.bit.values() if not e & b}
+            out.extend(sorted((i, by_extent[f]) for f in ups
+                              if not any(g != f and not g & ~f for g in ups)))
         return out
 
 
@@ -100,9 +104,7 @@ def concept_lattice(polarity: Polarity, cap: int = LATTICE_CAP) -> ConceptLattic
 
     Extents are exactly the intersections of attribute columns (the empty
     intersection giving A), so one pass that intersects the running family
-    with each column enumerates them all. Intents are closed under
-    intersection too, so the join of two concepts is the concept whose
-    intent is the intersection of theirs.
+    with each column enumerates them all.
     """
     if len(polarity.objects) + len(polarity.attributes) > cap:
         raise CapExceeded(
@@ -119,9 +121,7 @@ def concept_lattice(polarity: Polarity, cap: int = LATTICE_CAP) -> ConceptLattic
                      for e, t in zip(ordered, intents))
     by_extent = {e: i for i, e in enumerate(ordered)}
     by_intent = {t: i for i, t in enumerate(intents)}
-    meets = tuple(tuple(map(by_extent.__getitem__, [e & f for f in ordered])) for e in ordered)
-    joins = tuple(tuple(map(by_intent.__getitem__, [t & u for u in intents])) for t in intents)
-    lat = ConceptLattice(polarity, concepts, meets, joins)
+    lat = ConceptLattice(polarity, concepts)
     for name, value in (("_extents", tuple(ordered)), ("_intents", tuple(intents)),
                         ("_by_extent", by_extent), ("_by_intent", by_intent)):
         object.__setattr__(lat, name, value)
@@ -181,7 +181,7 @@ class Ideal:
 def _check_filter_cap(lat: ConceptLattice, cap: int):
     if len(lat) > cap:
         raise CapExceeded(f"lattice has {len(lat)} concepts, "
-                          f"filter enumeration cap is {cap}")
+                          f"more than the filter cap {cap}")
 
 
 def _principal_sets(lat: ConceptLattice, cap: int,

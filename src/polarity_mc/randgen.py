@@ -1,9 +1,9 @@
 """Seeded random generation of LE-models and Kripke models.
 
 Random relations are almost never I-compatible, so R_box and R_dia are
-repaired by closing the rows and columns named in the compatibility
-condition until every one is Galois-stable; closure only adds pairs, so
-the repair terminates.
+repaired by closing the rows and columns that ``validate_model`` reports
+until every one is Galois-stable; closure only adds pairs, so the repair
+terminates.
 """
 
 from __future__ import annotations
@@ -11,38 +11,30 @@ from __future__ import annotations
 import random
 from typing import Optional, Sequence, Tuple
 
-from .model import Concept, KripkeModel, LEModel, Polarity
+from .model import Concept, KripkeModel, LEModel, Polarity, validate_model
 
 
 def repair_compatibility(pol: Polarity, r_box, r_dia) -> Tuple[frozenset, frozenset]:
-    """Grow the relations until all singleton (pre)images are Galois-stable."""
+    """Grow the relations to the least I-compatible ones containing them.
+
+    I-compatible relations are closed under intersection, so that least
+    superset is unique, and every closure a violation names is forced:
+    add them all until ``validate_model`` reports none.
+    """
     r_box, r_dia = set(r_box), set(r_dia)
-    changed = True
-    while changed:
-        changed = False
-        for a in pol.objects:
-            row = frozenset(x for x in pol.attributes if (a, x) in r_box)
-            closed = pol.up(pol.down(row))
-            if closed != row:
-                r_box.update((a, x) for x in closed)
-                changed = True
-            row = frozenset(x for x in pol.attributes if (x, a) in r_dia)
-            closed = pol.up(pol.down(row))
-            if closed != row:
-                r_dia.update((x, a) for x in closed)
-                changed = True
-        for x in pol.attributes:
-            col = frozenset(a for a in pol.objects if (a, x) in r_box)
-            closed = pol.down(pol.up(col))
-            if closed != col:
-                r_box.update((a, x) for a in closed)
-                changed = True
-            col = frozenset(a for a in pol.objects if (x, a) in r_dia)
-            closed = pol.down(pol.up(col))
-            if closed != col:
-                r_dia.update((x, a) for a in closed)
-                changed = True
-    return frozenset(r_box), frozenset(r_dia)
+    while True:
+        violations = validate_model(LEModel(pol, frozenset(r_box), frozenset(r_dia), {}))
+        if not violations:
+            return frozenset(r_box), frozenset(r_dia)
+        for v in violations:
+            if v.kind == "r_box_row":
+                r_box.update((v.subject, x) for x in v.expected)
+            elif v.kind == "r_box_col":
+                r_box.update((a, v.subject) for a in v.expected)
+            elif v.kind == "r_dia_row":
+                r_dia.update((v.subject, a) for a in v.expected)
+            else:  # r_dia_col
+                r_dia.update((x, v.subject) for x in v.expected)
 
 
 def random_le_model(rng: random.Random, max_objects: int = 4, max_attrs: int = 4,

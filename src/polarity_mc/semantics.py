@@ -232,9 +232,6 @@ def fol_assignments(model: LEModel, phi: fol.FOFormula) -> Dict[Tuple[Tuple[str,
     def carrier(sort):
         return model.objects if sort == fol.G else model.attributes
 
-    def sort_of(table_vars, var):
-        return dict(table_vars)[var]
-
     def table(f: fol.FOFormula):
         # Returns (vars, rows): vars is a sorted tuple of (name, sort),
         # rows maps value tuples (aligned with vars) to bool.

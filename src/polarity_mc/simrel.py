@@ -424,18 +424,25 @@ def _flip(rel: Relation) -> Relation:
     return frozenset((b, a) for a, b in rel)
 
 
-def _transfer(pairs, masks1: Sequence[int], masks2: Sequence[int],
-              left: Carrier, right: Carrier) -> Relation:
-    """(u, v) with v in the right mask of every pair (i, j) whose left mask
-    contains u: one AND per pair and left point."""
+def _transfer(pairs, left: Carrier, right: Carrier) -> Relation:
+    """(u, v) with v in the right mask of every (left mask, right mask) pair
+    whose left mask contains u: one AND per pair and left point."""
     allowed = [right.full] * len(left.names)
-    for i, j in pairs:
-        mask = masks2[j]
-        for u in positions(masks1[i]):
-            allowed[u] &= mask
+    for lmask, rmask in pairs:
+        for u in positions(lmask):
+            allowed[u] &= rmask
     names = left.names
     return frozenset((names[u], v) for u, row in enumerate(allowed)
                      for v in right.members(row))
+
+
+def _mask_maps(model: LEModel, lat):
+    """The lattice's extent masks and, as dicts on them, the intent, the box
+    extent and the dia extent of each; with the extent of each intent."""
+    ext, itt = lat._extents, lat._intents
+    box, dia = operator_maps(model, lat)
+    return (ext, dict(zip(ext, itt)), dict(zip(itt, ext)),
+            {e: ext[b] for e, b in zip(ext, box)}, {e: ext[d] for e, d in zip(ext, dia)})
 
 
 def modal_equiv_oracle(m1: LEModel, m2: LEModel,
@@ -445,47 +452,48 @@ def modal_equiv_oracle(m1: LEModel, m2: LEModel,
     The set {(extension_1(phi), extension_2(phi)) | phi} is generated by
     the valuation pairs plus (top, top) and (bot, bot), and is closed under
     componentwise meet, join, box and dia; the pair lattice is finite, so
-    the closure terminates. A point a1 transfers to a2 when every closed
-    pair whose left extent contains a1 has a2 in its right extent, and
-    dually (with intents) on the attribute side.
+    the closure terminates. Pairs are kept as extent masks: a meet is an
+    AND of extents, a join the extent of the AND of intents. Each pair is
+    combined once with itself and every pair taken before it, so every
+    unordered pair of closed pairs is combined once. A point a1 transfers
+    to a2 when every closed pair whose left extent contains a1 has a2 in
+    its right extent, and dually (with intents) on the attribute side.
     """
     variables = _shared_variables(m1, m2)
     lat1 = concept_lattice(m1.polarity, cap)
     lat2 = concept_lattice(m2.polarity, cap)
-    meet1, join1 = lat1.meet_table, lat1.join_table
-    meet2, join2 = lat2.meet_table, lat2.join_table
-    box1, dia1 = operator_maps(m1, lat1)
-    box2, dia2 = operator_maps(m2, lat2)
+    ext1, itt1, join1, box1, dia1 = _mask_maps(m1, lat1)
+    ext2, itt2, join2, box2, dia2 = _mask_maps(m2, lat2)
 
-    seeds = {(lat1.index_of(m1.valuation[p]), lat2.index_of(m2.valuation[p]))
-             for p in variables}
-    seeds.add((len(lat1) - 1, len(lat2) - 1))  # top pair
-    seeds.add((0, 0))                          # bottom pair
-    pairs = set(seeds)
-    frontier = list(seeds)
-    while frontier:
-        fresh = []
-        for i, j in frontier:
-            for cand in ((box1[i], box2[j]), (dia1[i], dia2[j])):
-                if cand not in pairs:
-                    pairs.add(cand)
-                    fresh.append(cand)
-        known = list(pairs)
-        for i, j in frontier:
-            for i2, j2 in known:
-                for cand in ((meet1[i][i2], meet2[j][j2]),
-                             (join1[i][i2], join2[j][j2])):
-                    if cand not in pairs:
-                        pairs.add(cand)
-                        fresh.append(cand)
-        frontier = fresh
+    seen = {(ext1[lat1.index_of(m1.valuation[p])], ext2[lat2.index_of(m2.valuation[p])])
+            for p in variables}
+    seen.add((ext1[-1], ext2[-1]))  # top pair
+    seen.add((ext1[0], ext2[0]))    # bottom pair
+    todo = list(seen)
+    done = []  # (extent 1, extent 2, intent 1, intent 2) of every combined pair
+    while todo:
+        e, f = todo.pop()
+        t, u = itt1[e], itt2[f]
+        done.append((e, f, t, u))
+        for cand in ((box1[e], box2[f]), (dia1[e], dia2[f])):
+            if cand not in seen:
+                seen.add(cand)
+                todo.append(cand)
+        for e2, f2, t2, u2 in done:
+            cand = (e & e2, f & f2)
+            if cand not in seen:
+                seen.add(cand)
+                todo.append(cand)
+            cand = (join1[t & t2], join2[u & u2])
+            if cand not in seen:
+                seen.add(cand)
+                todo.append(cand)
 
     p1, p2 = m1.polarity.bits, m2.polarity.bits
-    flipped = [(j, i) for i, j in pairs]
-    forward_a = _transfer(pairs, lat1._extents, lat2._extents, p1.objs, p2.objs)
-    forward_x = _transfer(pairs, lat1._intents, lat2._intents, p1.attrs, p2.attrs)
-    backward_a = _flip(_transfer(flipped, lat2._extents, lat1._extents, p2.objs, p1.objs))
-    backward_x = _flip(_transfer(flipped, lat2._intents, lat1._intents, p2.attrs, p1.attrs))
+    forward_a = _transfer(((e, f) for e, f, _, _ in done), p1.objs, p2.objs)
+    forward_x = _transfer(((t, u) for _, _, t, u in done), p1.attrs, p2.attrs)
+    backward_a = _flip(_transfer(((f, e) for e, f, _, _ in done), p2.objs, p1.objs))
+    backward_x = _flip(_transfer(((u, t) for _, _, t, u in done), p2.attrs, p1.attrs))
     return EquivReport(forward_a, forward_x, backward_a, backward_x,
                        forward_a & backward_a, forward_x & backward_x)
 

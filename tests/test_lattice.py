@@ -67,9 +67,9 @@ def test_meet_join_tables_agree_with_formulas(pol):
         assert join.intent == c.intent & d.intent
 
 
-def test_tables_on_lifted_kripke():
+def test_meet_join_on_lifted_kripke():
     # Lifted models have every subset as an extent (2^n concepts): check the
-    # order and both tables cell by cell, the join against down(c & d intents).
+    # order, and meet and join cell by cell, the join against down(c & d intents).
     rng = random.Random(7)
     for n in range(1, 7):
         for _ in range(2):
@@ -78,11 +78,21 @@ def test_tables_on_lifted_kripke():
             assert len(lat) == 2 ** len(pol.objects)
             assert [c.extent for c in lat.concepts] == sorted(
                 (c.extent for c in lat.concepts), key=lambda e: (len(e), tuple(sorted(e))))
-            for i, c in enumerate(lat.concepts):
-                for j, d in enumerate(lat.concepts):
-                    assert lat.concepts[lat.meet_table[i][j]].extent == c.extent & d.extent
-                    assert lat.concepts[lat.join_table[i][j]].extent == \
-                        set_down(pol, c.intent & d.intent)
+            for c in lat.concepts:
+                for d in lat.concepts:
+                    assert lat.meet(c, d).extent == c.extent & d.extent
+                    assert lat.join(c, d).extent == set_down(pol, c.intent & d.intent)
+
+
+@given(polarities())
+def test_covers_match_extent_order(pol):
+    # i is covered by j when extent i < extent j with no extent strictly between
+    lat = concept_lattice(pol)
+    ext = [c.extent for c in lat.concepts]
+    n = len(ext)
+    expected = [(i, j) for i in range(n) for j in range(n) if ext[i] < ext[j]
+                and not any(ext[i] < ext[k] < ext[j] for k in range(n))]
+    assert lat.covers() == expected
 
 
 @given(polarities())
@@ -230,7 +240,7 @@ def test_filter_cap():
                          if a[1] != x[1]])
     lat = concept_lattice(pol)
     assert len(lat) == 16
-    with pytest.raises(CapExceeded):
+    with pytest.raises(CapExceeded, match="16 concepts, more than the filter cap 12"):
         all_filters(lat, cap=12)
 
 

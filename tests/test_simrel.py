@@ -339,6 +339,15 @@ def test_bisimilar_equals_oracle_equivalence(battery_pairs):
         assert attributes == rep.equiv_x
 
 
+def test_oracle_on_independent_lifted_kripke(kripke_battery):
+    # independent pairs reach far more closed pairs than perturbed copies
+    for k1, k2 in kripke_battery:
+        m1, m2 = lift_kripke(k1), lift_kripke(k2)
+        assert hm_check(m1, m2).ok
+        rep = modal_equiv_oracle(m1, m2)
+        assert bisimilar_points(m1, m2) == (rep.equiv_a, rep.equiv_x)
+
+
 def test_bisimulation_pairs_are_modally_equivalent(battery_pairs):
     # bisimulation invariance: pairs of the greatest bisimulation transfer
     # all formulas in both directions
