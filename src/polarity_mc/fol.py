@@ -97,35 +97,27 @@ class Exists(FOFormula):
 
 
 def free_vars(phi: FOFormula) -> FrozenSet[Tuple[str, str]]:
-    """The free (variable, sort) pairs of a formula."""
+    """The free (variable, sort) pairs of a formula.
 
-    def walk(f: FOFormula, bound: Set[str]) -> Set[Tuple[str, str]]:
+    A quantifier binds its variable at its own sort only: the same name
+    used at the other sort stays free.
+    """
+
+    def walk(f: FOFormula, bound: Set[Tuple[str, str]]) -> Set[Tuple[str, str]]:
         if isinstance(f, Eq):
-            return {(v, f.sort) for v in (f.left, f.right) if v not in bound}
+            return {(v, f.sort) for v in (f.left, f.right)} - bound
         if isinstance(f, PredA):
-            return set() if f.var in bound else {(f.var, G)}
+            return {(f.var, G)} - bound
         if isinstance(f, PredX):
-            return set() if f.var in bound else {(f.var, M)}
-        if isinstance(f, (AtomI, AtomRbox)):
-            out = set()
-            if f.gvar not in bound:
-                out.add((f.gvar, G))
-            if f.mvar not in bound:
-                out.add((f.mvar, M))
-            return out
-        if isinstance(f, AtomRdia):
-            out = set()
-            if f.mvar not in bound:
-                out.add((f.mvar, M))
-            if f.gvar not in bound:
-                out.add((f.gvar, G))
-            return out
+            return {(f.var, M)} - bound
+        if isinstance(f, (AtomI, AtomRbox, AtomRdia)):
+            return {(f.gvar, G), (f.mvar, M)} - bound
         if isinstance(f, Not):
             return walk(f.body, bound)
         if isinstance(f, (FAnd, FOr, Implies)):
             return walk(f.left, bound) | walk(f.right, bound)
         if isinstance(f, (Forall, Exists)):
-            return walk(f.body, bound | {f.var})
+            return walk(f.body, bound | {(f.var, f.sort)})
         raise TypeError(f"not an FOFormula: {f!r}")
 
     return frozenset(walk(phi, set()))

@@ -14,7 +14,8 @@ from typing import Dict, FrozenSet, Mapping, Optional, Tuple
 
 from . import fol
 from . import formula as fm
-from .model import Concept, LEModel, bottom_concept, rel_preimage, top_concept
+from .model import (Concept, LEModel, SortError, bottom_concept, rel_preimage,
+                    top_concept)
 
 
 class UnknownVariable(KeyError):
@@ -149,84 +150,106 @@ class SortedValuation:
     gvals: Mapping[str, str] = field(default_factory=dict)
     mvals: Mapping[str, str] = field(default_factory=dict)
 
-    def with_g(self, var: str, value: str) -> "SortedValuation":
-        g = dict(self.gvals)
-        g[var] = value
-        return SortedValuation(g, self.mvals)
-
-    def with_m(self, var: str, value: str) -> "SortedValuation":
-        m = dict(self.mvals)
-        m[var] = value
-        return SortedValuation(self.gvals, m)
-
 
 class UnboundVariable(KeyError):
     pass
+
+
+_UNSET = object()
 
 
 def fol_eval(model: LEModel, phi: fol.FOFormula, v: SortedValuation) -> bool:
     """Tarskian evaluation of a two-sorted formula, by direct recursion.
 
     Object-sort quantifiers range over A, attribute-sort quantifiers over
-    X. Free variables must be assigned in ``v`` at the correct sort.
+    X. Free variables must be assigned in ``v`` at the correct sort. A
+    variable is looked up, and its value sort-checked, only when its atom
+    is reached, so a branch that is short-circuited away raises nothing.
     """
+    pol = model.polarity
+    objects, attributes = pol.objects, pol.attributes
+    object_set, attribute_set = pol._object_set, pol._attribute_set
+    incidence, r_box, r_dia = pol.incidence, model.r_box, model.r_dia
+    # One environment per sort, set and restored around each quantifier step.
+    genv, menv = dict(v.gvals), dict(v.mvals)
 
-    def lookup(table, var, sort):
+    def gval(var):
         try:
-            return table[var]
+            a = genv[var]
         except KeyError:
-            raise UnboundVariable(f"{sort}-sort variable {var!r} is unbound") from None
-
-    def geval(var):
-        a = lookup(v.gvals, var, fol.G)
-        model.polarity.check_objects([a])
+            raise UnboundVariable(f"{fol.G}-sort variable {var!r} is unbound") from None
+        if a not in object_set:
+            raise SortError(f"unknown object identifiers: {[a]}")
         return a
 
-    def meval(var):
-        x = lookup(v.mvals, var, fol.M)
-        model.polarity.check_attributes([x])
+    def mval(var):
+        try:
+            x = menv[var]
+        except KeyError:
+            raise UnboundVariable(f"{fol.M}-sort variable {var!r} is unbound") from None
+        if x not in attribute_set:
+            raise SortError(f"unknown attribute identifiers: {[x]}")
         return x
 
-    f = phi
-    if isinstance(f, fol.Eq):
-        if f.sort == fol.G:
-            return geval(f.left) == geval(f.right)
-        return meval(f.left) == meval(f.right)
-    if isinstance(f, fol.PredA):
-        return geval(f.var) in _val(model, f.prop).extent
-    if isinstance(f, fol.PredX):
-        return meval(f.var) in _val(model, f.prop).intent
-    if isinstance(f, fol.AtomI):
-        return (geval(f.gvar), meval(f.mvar)) in model.polarity.incidence
-    if isinstance(f, fol.AtomRbox):
-        return (geval(f.gvar), meval(f.mvar)) in model.r_box
-    if isinstance(f, fol.AtomRdia):
-        return (meval(f.mvar), geval(f.gvar)) in model.r_dia
-    if isinstance(f, fol.Not):
-        return not fol_eval(model, f.body, v)
-    if isinstance(f, fol.FAnd):
-        return fol_eval(model, f.left, v) and fol_eval(model, f.right, v)
-    if isinstance(f, fol.FOr):
-        return fol_eval(model, f.left, v) or fol_eval(model, f.right, v)
-    if isinstance(f, fol.Implies):
-        return (not fol_eval(model, f.left, v)) or fol_eval(model, f.right, v)
-    if isinstance(f, fol.Forall):
-        carrier = model.objects if f.sort == fol.G else model.attributes
-        extend = v.with_g if f.sort == fol.G else v.with_m
-        return all(fol_eval(model, f.body, extend(f.var, u)) for u in carrier)
-    if isinstance(f, fol.Exists):
-        carrier = model.objects if f.sort == fol.G else model.attributes
-        extend = v.with_g if f.sort == fol.G else v.with_m
-        return any(fol_eval(model, f.body, extend(f.var, u)) for u in carrier)
-    raise TypeError(f"not an FOFormula: {phi!r}")
+    def ev(f) -> bool:
+        t = type(f)
+        if t is fol.Forall or t is fol.Exists:
+            env, carrier = (genv, objects) if f.sort == fol.G else (menv, attributes)
+            var, body = f.var, f.body
+            saved = env.get(var, _UNSET)
+            if t is fol.Forall:
+                result = True
+                for u in carrier:
+                    env[var] = u
+                    if not ev(body):
+                        result = False
+                        break
+            else:
+                result = False
+                for u in carrier:
+                    env[var] = u
+                    if ev(body):
+                        result = True
+                        break
+            if saved is _UNSET:
+                env.pop(var, None)
+            else:
+                env[var] = saved
+            return result
+        if t is fol.Implies:
+            return (not ev(f.left)) or ev(f.right)
+        if t is fol.FAnd:
+            return ev(f.left) and ev(f.right)
+        if t is fol.FOr:
+            return ev(f.left) or ev(f.right)
+        if t is fol.Not:
+            return not ev(f.body)
+        if t is fol.AtomI:
+            return (gval(f.gvar), mval(f.mvar)) in incidence
+        if t is fol.AtomRbox:
+            return (gval(f.gvar), mval(f.mvar)) in r_box
+        if t is fol.AtomRdia:
+            return (mval(f.mvar), gval(f.gvar)) in r_dia
+        if t is fol.PredA:
+            return gval(f.var) in _val(model, f.prop).extent
+        if t is fol.PredX:
+            return mval(f.var) in _val(model, f.prop).intent
+        if t is fol.Eq:
+            if f.sort == fol.G:
+                return gval(f.left) == gval(f.right)
+            return mval(f.left) == mval(f.right)
+        raise TypeError(f"not an FOFormula: {f!r}")
+
+    return ev(phi)
 
 
 def fol_assignments(model: LEModel, phi: fol.FOFormula) -> Dict[Tuple[Tuple[str, str], ...], bool]:
     """Truth of phi under every assignment of its free variables.
 
     Returns a table keyed by the sorted tuple of (variable, value) pairs.
-    Computed bottom-up, joining sub-tables on shared variables, so bulk
-    queries stay polynomial where repeated pointwise fol_eval would not.
+    Computed bottom-up, joining sub-tables on shared (variable, sort)
+    pairs, so bulk queries stay polynomial where repeated pointwise
+    fol_eval would not.
     """
 
     def carrier(sort):
@@ -262,7 +285,7 @@ def fol_assignments(model: LEModel, phi: fol.FOFormula) -> Dict[Tuple[Tuple[str,
             rows = {}
             for a in model.objects:
                 for x in model.attributes:
-                    key = tuple(a if name == gv else x for name, _ in vars_)
+                    key = tuple(a if sort == fol.G else x for _, sort in vars_)
                     rows[key] = member(a, x)
             return vars_, rows
         if isinstance(f, fol.Not):
@@ -297,15 +320,15 @@ def fol_assignments(model: LEModel, phi: fol.FOFormula) -> Dict[Tuple[Tuple[str,
             return vars_, rows
         if isinstance(f, (fol.Forall, fol.Exists)):
             bv, br = table(f.body)
-            names = [name for name, _ in bv]
-            if f.var not in names:
+            bound = (f.var, f.sort)
+            if bound not in bv:
                 # Vacuous quantifier; over an empty carrier forall is true.
                 dom = carrier(f.sort)
                 if isinstance(f, fol.Forall):
                     return bv, dict(br) if dom else {k: True for k in br}
                 return bv, dict(br) if dom else {k: False for k in br}
-            qi = names.index(f.var)
-            vars_ = tuple(v for v in bv if v[0] != f.var)
+            qi = bv.index(bound)
+            vars_ = bv[:qi] + bv[qi + 1:]
             dom = carrier(f.sort)
             rows = {}
             grouped: Dict[tuple, list] = {}
@@ -334,10 +357,139 @@ def fol_assignments(model: LEModel, phi: fol.FOFormula) -> Dict[Tuple[Tuple[str,
     return out
 
 
+class _Wide(Exception):
+    """A subformula with two free variables of one sort, or an equation
+    between distinct variables: outside the shape :func:`_mask_table` reads."""
+
+
+def _mask_table(model: LEModel, phi: fol.FOFormula):
+    """phi as ``(g, m, value)``: its free object and attribute variable
+    names (None where a sort has none) and its truth table as masks.
+
+    ``value`` is 0/1 when phi is closed, a mask over A (or X) when only g
+    (or only m) is free, and a list of X-masks, one per object, when both
+    are. Raises _Wide for any other shape. Assumes non-empty carriers, so a
+    vacuous quantifier leaves its body's table unchanged.
+    """
+    bits = model.bits
+    pol = bits.pol
+    objs, attrs = pol.objs, pol.attrs
+    fa, fx, n = objs.full, attrs.full, len(objs.names)
+    fulls = {(False, False): 1, (True, False): fa, (False, True): fx}
+
+    def lift(g, m, value, to_g, to_m):
+        # The table of a subformula with free variables g and m (or None),
+        # widened to the sorts to_g/to_m free in the enclosing connective;
+        # it is constant along a sort it gains.
+        if not to_m:
+            return fa if to_g and g is None and value else value
+        if not to_g:
+            return fx if m is None and value else value
+        if g is None and m is None:
+            return [fx if value else 0] * n
+        if g is None:
+            return [value] * n
+        if m is None:
+            return [fx if value >> i & 1 else 0 for i in range(n)]
+        return value
+
+    def ev(f):
+        t = type(f)
+        if t is fol.Forall or t is fol.Exists:
+            g, m, value = ev(f.body)
+            univ = t is fol.Forall
+            if f.sort != fol.G and f.sort != fol.M:
+                raise _Wide
+            if f.sort == fol.G:
+                if g != f.var:
+                    return g, m, value
+                if m is None:
+                    return None, None, int(value == fa if univ else value != 0)
+                out = fx if univ else 0
+                for row in value:
+                    out = out & row if univ else out | row
+                return None, m, out
+            if m != f.var:
+                return g, m, value
+            if g is None:
+                return None, None, int(value == fx if univ else value != 0)
+            out = 0
+            for i, row in enumerate(value):
+                if (row == fx if univ else row != 0):
+                    out |= 1 << i
+            return g, None, out
+        if t is fol.Implies or t is fol.FAnd or t is fol.FOr:
+            lg, lm, lv = ev(f.left)
+            rg, rm, rv = ev(f.right)
+            if lg is not None and rg is not None and lg != rg \
+                    or lm is not None and rm is not None and lm != rm:
+                raise _Wide
+            g = rg if lg is None else lg
+            m = rm if lm is None else lm
+            to_g, to_m = g is not None, m is not None
+            lv = lift(lg, lm, lv, to_g, to_m)
+            rv = lift(rg, rm, rv, to_g, to_m)
+            if to_g and to_m:
+                if t is fol.FAnd:
+                    return g, m, [l & r for l, r in zip(lv, rv)]
+                if t is fol.FOr:
+                    return g, m, [l | r for l, r in zip(lv, rv)]
+                return g, m, [(l ^ fx) | r for l, r in zip(lv, rv)]
+            if t is fol.FAnd:
+                return g, m, lv & rv
+            if t is fol.FOr:
+                return g, m, lv | rv
+            return g, m, (lv ^ fulls[to_g, to_m]) | rv
+        if t is fol.Not:
+            g, m, value = ev(f.body)
+            if g is not None and m is not None:
+                return g, m, [row ^ fx for row in value]
+            return g, m, value ^ fulls[g is not None, m is not None]
+        if t is fol.AtomI:
+            return f.gvar, f.mvar, pol.i_rows
+        if t is fol.AtomRbox:
+            return f.gvar, f.mvar, bits.box_rows
+        if t is fol.AtomRdia:
+            return f.gvar, f.mvar, bits.dia_cols
+        if t is fol.PredA:
+            return f.var, None, objs.mask(_val(model, f.prop).extent)
+        if t is fol.PredX:
+            return None, f.var, attrs.mask(_val(model, f.prop).intent)
+        if t is fol.Eq:
+            if f.left != f.right:
+                raise _Wide
+            if f.sort == fol.G:
+                return f.left, None, fa
+            if f.sort == fol.M:
+                return None, f.left, fx
+            raise _Wide
+        raise TypeError(f"not an FOFormula: {f!r}")
+
+    return ev(phi)
+
+
 def fol_sat_points(model: LEModel, phi: fol.FOFormula, var: str) -> FrozenSet[str]:
-    """The set of values of ``var`` (its formula's only free variable) making phi true."""
+    """The set of values of ``var`` (its formula's only free variable) making phi true.
+
+    A formula with at most one free variable per sort in every subformula,
+    and no equation between distinct variables, is evaluated as bit masks
+    over the model's index (every standard translation has that shape);
+    any other formula, and any model with an empty carrier, goes through
+    the general dict join of :func:`fol_assignments`.
+    """
+    pol = model.polarity.bits
+    if pol.objs.full and pol.attrs.full:
+        try:
+            g, m, value = _mask_table(model, phi)
+        except (_Wide, UnknownVariable, TypeError):
+            pass  # the route below raises the same errors in the same order
+        else:
+            if g is not None and g == var and m is None:
+                return pol.objs.members(value)
+            if m is not None and m == var and g is None:
+                return pol.attrs.members(value)
     fv = fol.free_vars(phi)
-    if {name for name, _ in fv} != {var}:
+    if len(fv) != 1 or next(iter(fv))[0] != var:
         raise ValueError(f"expected {var!r} as the unique free variable, got {sorted(fv)}")
     rows = fol_assignments(model, phi)
     return frozenset(dict(key)[var] for key, b in rows.items() if b)
