@@ -11,9 +11,17 @@ from dataclasses import dataclass
 from typing import FrozenSet, Set, Tuple
 
 from . import formula as fm
+from .model import SortError
 
 G = "G"  # object sort
 M = "M"  # attribute sort
+
+
+def bad_sort(sort: str) -> SortError:
+    """The error for an ``Eq``/``Forall``/``Exists`` whose sort is neither G
+    nor M. Constructors do not check sorts; the evaluators and
+    :func:`free_vars` raise this when they reach such a node."""
+    return SortError(f"unknown sort {sort!r}: expected {G!r} or {M!r}")
 
 
 class FOFormula:
@@ -104,6 +112,8 @@ def free_vars(phi: FOFormula) -> FrozenSet[Tuple[str, str]]:
     """
 
     def walk(f: FOFormula, bound: Set[Tuple[str, str]]) -> Set[Tuple[str, str]]:
+        if isinstance(f, (Eq, Forall, Exists)) and f.sort != G and f.sort != M:
+            raise bad_sort(f.sort)
         if isinstance(f, Eq):
             return {(v, f.sort) for v in (f.left, f.right)} - bound
         if isinstance(f, PredA):

@@ -5,21 +5,24 @@ Concepts are enumerated by closing the full object set under intersection
 with attribute columns (the standard intersection method); a brute-force
 closure of all object subsets is kept in the test suite as an oracle.
 
-The lattice keeps the extent and intent masks of its concepts, and
-:func:`operator_maps` reads the complex algebra's box and diamond off them
-as index maps. Every filter of a finite lattice is principal, the up-set
-of its meet, and every ideal the down-set of its join, so the filters and
-ideals are one per concept and the filter-ideal extension has a closed
-form in O(|L|^2) on concept indices. ``FILTER_CAP`` bounds the size of
-that output, not an enumeration.
+The enumeration yields extent and intent masks, unordered and unnamed, and
+the complex algebra's box and diamond are read off them as mask maps; the
+equivalence oracle closes over those directly. :func:`concept_lattice`
+sorts and names the same enumeration, and :func:`operator_maps` gives box
+and diamond as index maps on it. Every filter of a finite lattice is
+principal, the up-set of its meet, and every ideal the down-set of its
+join, so the filters and ideals are one per concept and the filter-ideal
+extension has a closed form in O(|L|^2) on concept indices. ``FILTER_CAP``
+bounds the size of that output, not an enumeration.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import FrozenSet, List, Mapping, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Mapping, NamedTuple, Tuple
 
-from .model import Concept, LEModel, Polarity, SortError, meet_masks, preimage_mask
+from .model import (Carrier, Concept, LEModel, Polarity, SortError, meet_masks, positions,
+                    preimage_mask)
 
 
 class CapExceeded(ValueError):
@@ -51,10 +54,8 @@ class ConceptLattice:
         return len(self.concepts)
 
     def index_of(self, c: Concept) -> int:
-        try:
-            return self._by_extent[self.polarity.bits.objs.mask(c.extent)]
-        except (KeyError, SortError):
-            raise ValueError(f"not a concept of this lattice: {sorted(c.extent)}") from None
+        by_extent = self._by_extent
+        return by_extent[_concept_extent(by_extent, self.polarity.bits.objs, c)]
 
     @property
     def bottom(self) -> Concept:
@@ -99,8 +100,9 @@ class ConceptLattice:
         return out
 
 
-def concept_lattice(polarity: Polarity, cap: int = LATTICE_CAP) -> ConceptLattice:
-    """Enumerate every formal concept of the polarity.
+def _concept_masks(polarity: Polarity, cap: int = LATTICE_CAP) -> Dict[int, int]:
+    """Every formal concept of the polarity as ``{extent mask: intent mask}``,
+    in no particular order.
 
     Extents are exactly the intersections of attribute columns (the empty
     intersection giving A), so one pass that intersects the running family
@@ -111,43 +113,100 @@ def concept_lattice(polarity: Polarity, cap: int = LATTICE_CAP) -> ConceptLattic
             f"|A| + |X| = {len(polarity.objects) + len(polarity.attributes)} "
             f"exceeds the lattice cap {cap}")
     bits = polarity.bits
-    objs, attrs = bits.objs, bits.attrs
-    extents = {objs.full}
+    extents = {bits.objs.full}
     for col in bits.i_cols:
         extents |= {e & col for e in extents}
-    ordered = sorted(extents, key=lambda e: (e.bit_count(), tuple(sorted(objs.members(e)))))
-    intents = [bits.up(e) for e in ordered]
-    concepts = tuple(Concept(objs.members(e), attrs.members(t))
-                     for e, t in zip(ordered, intents))
-    by_extent = {e: i for i, e in enumerate(ordered)}
-    by_intent = {t: i for i, t in enumerate(intents)}
+    up = bits.up
+    return {e: up(e) for e in extents}
+
+
+def _in_order(objs: Carrier, extents: Iterable[int]) -> List[Tuple[int, List[str], int]]:
+    """The extents bottom-up, by size and then sorted names, as
+    ``(size, sorted names, mask)``."""
+    names = objs.names
+    rows = []
+    for e in extents:
+        ext = sorted([names[k] for k in positions(e)])
+        rows.append((len(ext), ext, e))
+    rows.sort()
+    return rows
+
+
+def concept_lattice(polarity: Polarity, cap: int = LATTICE_CAP) -> ConceptLattice:
+    """Every formal concept of the polarity, sorted and named."""
+    intent_of = _concept_masks(polarity, cap)
+    attrs = polarity.bits.attrs
+    rows = _in_order(polarity.bits.objs, intent_of)
+    extents = tuple(e for _, _, e in rows)
+    intents = tuple(intent_of[e] for e in extents)
+    concepts = tuple(Concept(frozenset(ext), attrs.members(t))
+                     for (_, ext, _), t in zip(rows, intents))
     lat = ConceptLattice(polarity, concepts)
-    for name, value in (("_extents", tuple(ordered)), ("_intents", tuple(intents)),
-                        ("_by_extent", by_extent), ("_by_intent", by_intent)):
+    for name, value in (("_extents", extents), ("_intents", intents),
+                        ("_by_extent", {e: i for i, e in enumerate(extents)}),
+                        ("_by_intent", {t: i for i, t in enumerate(intents)})):
         object.__setattr__(lat, name, value)
     return lat
 
 
-def operator_maps(model: LEModel, lat: ConceptLattice) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
-    """The complex algebra's box and diamond as index maps on ``lat``, the
-    concept lattice of the model's polarity.
+class _Algebra(NamedTuple):
+    """The complex algebra of an LE-model on masks, unordered and unnamed.
 
-    The box of concept i has the R_box preimage of its intent as extent;
+    ``intent`` maps each concept's extent mask to its intent mask and
+    ``extent`` the other way; ``box`` and ``dia`` map each extent to the
+    extent of its box and of its diamond.
+    """
+
+    intent: Dict[int, int]
+    extent: Dict[int, int]
+    box: Dict[int, int]
+    dia: Dict[int, int]
+
+
+def _complex_algebra(model: LEModel, intent: Dict[int, int]) -> _Algebra:
+    """The algebra on the concepts ``intent`` (from :func:`_concept_masks`).
+
+    The box of a concept has the R_box preimage of its intent as extent;
     the diamond has the R_dia preimage of its extent as intent. Both are
     Galois-stable on a model that passes ``validate_model``; an image that
-    is not raises ValueError.
+    is not raises ValueError naming the concept's index in
+    :func:`concept_lattice`'s order.
     """
     bits = model.bits
     objs, attrs = bits.pol.objs, bits.pol.attrs
-    box_map = [lat._by_extent.get(meet_masks(t, bits.box_cols, objs.full))
-               for t in lat._intents]
-    dia_map = [lat._by_intent.get(meet_masks(e, bits.dia_cols, attrs.full))
-               for e in lat._extents]
-    for op, images in (("box", box_map), ("dia", dia_map)):
-        if None in images:
-            raise ValueError(f"{op} of concept {images.index(None)} is not "
-                             f"Galois-stable: the model is not I-compatible")
-    return tuple(box_map), tuple(dia_map)
+    extent = {t: e for e, t in intent.items()}
+    box = {e: meet_masks(t, bits.box_cols, objs.full) for e, t in intent.items()}
+    dia = {e: extent.get(meet_masks(e, bits.dia_cols, attrs.full)) for e in intent}
+    if not set(box.values()) <= intent.keys() or None in dia.values():
+        order = [e for _, _, e in _in_order(objs, intent)]
+        for op, stable in (("box", lambda e: box[e] in intent),
+                           ("dia", lambda e: dia[e] is not None)):
+            bad = [i for i, e in enumerate(order) if not stable(e)]
+            if bad:
+                raise ValueError(f"{op} of concept {bad[0]} is not Galois-stable: "
+                                 f"the model is not I-compatible")
+    return _Algebra(intent, extent, box, dia)
+
+
+def _concept_extent(extents: Mapping[int, object], objs: Carrier, c: Concept) -> int:
+    """The extent mask of ``c``, which must be a key of ``extents``, a map
+    on the extent masks of a lattice (ValueError otherwise)."""
+    try:
+        e = objs.mask(c.extent)
+    except SortError:
+        e = None
+    if e not in extents:
+        raise ValueError(f"not a concept of this lattice: {sorted(c.extent)}")
+    return e
+
+
+def operator_maps(model: LEModel, lat: ConceptLattice) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
+    """The complex algebra's box and diamond as index maps on ``lat``, the
+    concept lattice of the model's polarity (see :func:`_complex_algebra`)."""
+    alg = _complex_algebra(model, dict(zip(lat._extents, lat._intents)))
+    by_extent = lat._by_extent
+    return (tuple(by_extent[alg.box[e]] for e in lat._extents),
+            tuple(by_extent[alg.dia[e]] for e in lat._extents))
 
 
 def box_op(model: LEModel, c: Concept) -> Concept:

@@ -164,7 +164,9 @@ def fol_eval(model: LEModel, phi: fol.FOFormula, v: SortedValuation) -> bool:
     Object-sort quantifiers range over A, attribute-sort quantifiers over
     X. Free variables must be assigned in ``v`` at the correct sort. A
     variable is looked up, and its value sort-checked, only when its atom
-    is reached, so a branch that is short-circuited away raises nothing.
+    is reached, and an equation or quantifier of a sort other than G or M
+    raises SortError only when it is reached, so a branch that is
+    short-circuited away raises nothing.
     """
     pol = model.polarity
     objects, attributes = pol.objects, pol.attributes
@@ -194,7 +196,12 @@ def fol_eval(model: LEModel, phi: fol.FOFormula, v: SortedValuation) -> bool:
     def ev(f) -> bool:
         t = type(f)
         if t is fol.Forall or t is fol.Exists:
-            env, carrier = (genv, objects) if f.sort == fol.G else (menv, attributes)
+            if f.sort == fol.G:
+                env, carrier = genv, objects
+            elif f.sort == fol.M:
+                env, carrier = menv, attributes
+            else:
+                raise fol.bad_sort(f.sort)
             var, body = f.var, f.body
             saved = env.get(var, _UNSET)
             if t is fol.Forall:
@@ -237,7 +244,9 @@ def fol_eval(model: LEModel, phi: fol.FOFormula, v: SortedValuation) -> bool:
         if t is fol.Eq:
             if f.sort == fol.G:
                 return gval(f.left) == gval(f.right)
-            return mval(f.left) == mval(f.right)
+            if f.sort == fol.M:
+                return mval(f.left) == mval(f.right)
+            raise fol.bad_sort(f.sort)
         raise TypeError(f"not an FOFormula: {f!r}")
 
     return ev(phi)
@@ -253,7 +262,11 @@ def fol_assignments(model: LEModel, phi: fol.FOFormula) -> Dict[Tuple[Tuple[str,
     """
 
     def carrier(sort):
-        return model.objects if sort == fol.G else model.attributes
+        if sort == fol.G:
+            return model.objects
+        if sort == fol.M:
+            return model.attributes
+        raise fol.bad_sort(sort)
 
     def table(f: fol.FOFormula):
         # Returns (vars, rows): vars is a sorted tuple of (name, sort),
@@ -319,17 +332,16 @@ def fol_assignments(model: LEModel, phi: fol.FOFormula) -> Dict[Tuple[Tuple[str,
             fill([])
             return vars_, rows
         if isinstance(f, (fol.Forall, fol.Exists)):
+            dom = carrier(f.sort)
             bv, br = table(f.body)
             bound = (f.var, f.sort)
             if bound not in bv:
                 # Vacuous quantifier; over an empty carrier forall is true.
-                dom = carrier(f.sort)
                 if isinstance(f, fol.Forall):
                     return bv, dict(br) if dom else {k: True for k in br}
                 return bv, dict(br) if dom else {k: False for k in br}
             qi = bv.index(bound)
             vars_ = bv[:qi] + bv[qi + 1:]
-            dom = carrier(f.sort)
             rows = {}
             grouped: Dict[tuple, list] = {}
             for key, b in br.items():
@@ -368,8 +380,10 @@ def _mask_table(model: LEModel, phi: fol.FOFormula):
 
     ``value`` is 0/1 when phi is closed, a mask over A (or X) when only g
     (or only m) is free, and a list of X-masks, one per object, when both
-    are. Raises _Wide for any other shape. Assumes non-empty carriers, so a
-    vacuous quantifier leaves its body's table unchanged.
+    are. Raises _Wide for any other shape, and SortError at an equation or
+    quantifier whose sort is not G or M (checked before its body, as every
+    route does). Assumes non-empty carriers, so a vacuous quantifier leaves
+    its body's table unchanged.
     """
     bits = model.bits
     pol = bits.pol
@@ -396,10 +410,10 @@ def _mask_table(model: LEModel, phi: fol.FOFormula):
     def ev(f):
         t = type(f)
         if t is fol.Forall or t is fol.Exists:
+            if f.sort != fol.G and f.sort != fol.M:
+                raise fol.bad_sort(f.sort)
             g, m, value = ev(f.body)
             univ = t is fol.Forall
-            if f.sort != fol.G and f.sort != fol.M:
-                raise _Wide
             if f.sort == fol.G:
                 if g != f.var:
                     return g, m, value
@@ -456,13 +470,13 @@ def _mask_table(model: LEModel, phi: fol.FOFormula):
         if t is fol.PredX:
             return None, f.var, attrs.mask(_val(model, f.prop).intent)
         if t is fol.Eq:
+            if f.sort != fol.G and f.sort != fol.M:
+                raise fol.bad_sort(f.sort)
             if f.left != f.right:
                 raise _Wide
             if f.sort == fol.G:
                 return f.left, None, fa
-            if f.sort == fol.M:
-                return None, f.left, fx
-            raise _Wide
+            return None, f.left, fx
         raise TypeError(f"not an FOFormula: {f!r}")
 
     return ev(phi)

@@ -21,10 +21,10 @@ from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from . import formula as fm
-# box_op/dia_op have no caller here; the benchmark's traced runs swap them by
-# these module-bound names.
-from .lattice import (LATTICE_CAP, CapExceeded, box_op, concept_lattice, dia_op,
-                      operator_maps)
+# box_op/dia_op/concept_lattice have no caller here; the benchmark's traced
+# runs swap them by these module-bound names.
+from .lattice import (LATTICE_CAP, CapExceeded, _complex_algebra, _concept_extent,
+                      _concept_masks, box_op, concept_lattice, dia_op)
 from .model import Carrier, Concept, LEModel, Polarity, meet_masks, positions
 from .semantics import sat_sets
 
@@ -436,15 +436,6 @@ def _transfer(pairs, left: Carrier, right: Carrier) -> Relation:
                      for v in right.members(row))
 
 
-def _mask_maps(model: LEModel, lat):
-    """The lattice's extent masks and, as dicts on them, the intent, the box
-    extent and the dia extent of each; with the extent of each intent."""
-    ext, itt = lat._extents, lat._intents
-    box, dia = operator_maps(model, lat)
-    return (ext, dict(zip(ext, itt)), dict(zip(itt, ext)),
-            {e: ext[b] for e, b in zip(ext, box)}, {e: ext[d] for e, d in zip(ext, dia)})
-
-
 def modal_equiv_oracle(m1: LEModel, m2: LEModel,
                        cap: int = LATTICE_CAP) -> EquivReport:
     """Close formula-extension pairs to a fixpoint and read off the transfer relations.
@@ -452,23 +443,25 @@ def modal_equiv_oracle(m1: LEModel, m2: LEModel,
     The set {(extension_1(phi), extension_2(phi)) | phi} is generated by
     the valuation pairs plus (top, top) and (bot, bot), and is closed under
     componentwise meet, join, box and dia; the pair lattice is finite, so
-    the closure terminates. Pairs are kept as extent masks: a meet is an
-    AND of extents, a join the extent of the AND of intents. Each pair is
+    the closure terminates. Pairs are kept as extent masks of each model's
+    complex algebra, unordered and unnamed: a meet is an AND of extents, a
+    join the extent of the AND of intents. Each pair is
     combined once with itself and every pair taken before it, so every
     unordered pair of closed pairs is combined once. A point a1 transfers
     to a2 when every closed pair whose left extent contains a1 has a2 in
     its right extent, and dually (with intents) on the attribute side.
     """
     variables = _shared_variables(m1, m2)
-    lat1 = concept_lattice(m1.polarity, cap)
-    lat2 = concept_lattice(m2.polarity, cap)
-    ext1, itt1, join1, box1, dia1 = _mask_maps(m1, lat1)
-    ext2, itt2, join2, box2, dia2 = _mask_maps(m2, lat2)
+    concepts1 = _concept_masks(m1.polarity, cap)
+    concepts2 = _concept_masks(m2.polarity, cap)
+    itt1, join1, box1, dia1 = _complex_algebra(m1, concepts1)
+    itt2, join2, box2, dia2 = _complex_algebra(m2, concepts2)
+    p1, p2 = m1.polarity.bits, m2.polarity.bits
 
-    seen = {(ext1[lat1.index_of(m1.valuation[p])], ext2[lat2.index_of(m2.valuation[p])])
-            for p in variables}
-    seen.add((ext1[-1], ext2[-1]))  # top pair
-    seen.add((ext1[0], ext2[0]))    # bottom pair
+    seen = {(_concept_extent(itt1, p1.objs, m1.valuation[p]),
+             _concept_extent(itt2, p2.objs, m2.valuation[p])) for p in variables}
+    seen.add((p1.objs.full, p2.objs.full))                       # top pair
+    seen.add((p1.down(p1.attrs.full), p2.down(p2.attrs.full)))  # bottom pair
     todo = list(seen)
     done = []  # (extent 1, extent 2, intent 1, intent 2) of every combined pair
     while todo:
@@ -489,7 +482,6 @@ def modal_equiv_oracle(m1: LEModel, m2: LEModel,
                 seen.add(cand)
                 todo.append(cand)
 
-    p1, p2 = m1.polarity.bits, m2.polarity.bits
     forward_a = _transfer(((e, f) for e, f, _, _ in done), p1.objs, p2.objs)
     forward_x = _transfer(((t, u) for _, _, t, u in done), p1.attrs, p2.attrs)
     backward_a = _flip(_transfer(((f, e) for e, f, _, _ in done), p2.objs, p1.objs))

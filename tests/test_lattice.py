@@ -11,7 +11,7 @@ from polarity_mc import (CapExceeded, Concept, Filter, Ideal, LEModel,
                          filter_ideal_extension, lift_kripke,
                          modal_equiv_oracle, principal_filter,
                          principal_ideal, validate_model)
-from polarity_mc.lattice import operator_maps
+from polarity_mc.lattice import _complex_algebra, _concept_masks, operator_maps
 from polarity_mc.randgen import random_kripke, random_le_model
 from polarity_mc.semantics import sat_sets
 
@@ -155,6 +155,41 @@ def test_operator_maps_match_pair_sets(all_fixture_models, battery_models):
         box_map, dia_map = operator_maps(model, lat)
         assert box_map == box_map_reference(model, lat)
         assert dia_map == dia_map_reference(model, lat)
+
+
+def _empty_carrier_models():
+    # one side empty, then both; I is then empty and both relations too
+    out = []
+    for objs, attrs in ((["a", "b"], []), ([], ["x", "y", "z"]), ([], [])):
+        pol = Polarity.make(objs, attrs, [])
+        out.append(LEModel.make(pol, [], [], {
+            "p": Concept(frozenset(objs), frozenset()) if not attrs
+            else Concept(frozenset(), frozenset(attrs))}))
+    return out
+
+
+def test_complex_algebra_matches_brute_force(all_fixture_models, battery_models):
+    # the unordered mask algebra the oracle closes over: its concepts are
+    # brute_concepts, its intent/extent maps inverse, and its box and
+    # diamond the pair-set references
+    rng = random.Random(18)
+    lifted = [lift_kripke(random_kripke(rng, max_worlds=n))
+              for n in range(1, 7) for _ in range(4)]
+    models = (list(all_fixture_models.values()) + battery_models + lifted
+              + _empty_carrier_models())
+    for model in models:
+        pol = model.polarity
+        objs, attrs = pol.bits.objs, pol.bits.attrs
+        alg = _complex_algebra(model, _concept_masks(pol))
+        assert {(objs.members(e), attrs.members(t)) for e, t in alg.intent.items()} \
+            == brute_concepts(pol)
+        assert alg.extent == {t: e for e, t in alg.intent.items()}
+        assert len(alg.extent) == len(alg.intent)
+        lat = concept_lattice(pol)
+        ext = lat._extents
+        assert set(ext) == set(alg.intent)
+        assert [alg.box[e] for e in ext] == [ext[i] for i in box_map_reference(model, lat)]
+        assert [alg.dia[e] for e in ext] == [ext[i] for i in dia_map_reference(model, lat)]
 
 
 def _incompatible_model():

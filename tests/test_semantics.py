@@ -244,6 +244,49 @@ def test_fol_eval_raises_on_reached_variables(fig1_m1, phi, v, error, match):
         fol_eval(fig1_m1, phi, SortedValuation(*v))
 
 
+@pytest.mark.parametrize("phi", [
+    Forall("m", "Z", PredX("q", "m")),
+    Exists("g", "g", PredA("p", "g")),
+    Eq("m", "m", "Z"),
+    FAnd(PredA("p", "g"), Eq("g", "h", "Z")),
+    Forall("g", G, FOr(AtomI("g", "m"), Exists("m", "Z", PredX("q", "m")))),
+    # the first bad sort in pre-order is named, on every route
+    Forall("m", "Z", Exists("g", "Y", PredA("p", "g"))),
+])
+def test_sort_outside_g_m_raises_on_every_route(fig1_m1, phi):
+    bad = next(s for s in ("Z", "g") if f"sort={s!r}" in repr(phi))
+    message = f"unknown sort {bad!r}: expected 'G' or 'M'"
+    routes = [lambda: free_vars(phi), lambda: fol_assignments(fig1_m1, phi),
+              lambda: fol_eval(fig1_m1, phi, SortedValuation(
+                  {"g": "a1", "h": "b1"}, {"m": "x1"}))]
+    routes += [lambda var=var: fol_sat_points(fig1_m1, phi, var) for var in ("g", "m")]
+    for route in routes:
+        with pytest.raises(SortError) as err:
+            route()
+        assert str(err.value) == message
+
+
+@pytest.mark.parametrize("phi", [
+    FAnd(PredA("nope", "g"), Forall("m", "Z", PredX("q", "m"))),
+    FAnd(Eq("g", "h", G), Forall("m", "Z", PredX("q", "m"))),
+    FAnd(PredA("p", "g"), FOr(PredX("q", "m"), Exists("h", "Z", Eq("h", "h", G)))),
+])
+def test_fol_sat_points_reports_bad_sort_first(fig1_m1, phi):
+    # free_vars walks the whole formula first, so a bad sort is reported
+    # before an unknown proposition, a second free variable or a wide shape
+    for var in ("g", "m"):
+        with pytest.raises(SortError, match="^unknown sort 'Z': expected 'G' or 'M'$"):
+            fol_sat_points(fig1_m1, phi, var)
+
+
+def test_fol_eval_reaches_bad_sort_lazily(fig1_m1):
+    # like a variable, a bad sort raises only where evaluation reaches it
+    phi = FOr(Eq("g", "g", G), Forall("m", "Z", PredX("q", "m")))
+    assert fol_eval(fig1_m1, phi, SortedValuation({"g": "a1"}, {}))
+    with pytest.raises(SortError, match="unknown sort 'Z'"):
+        fol_eval(fig1_m1, Not(phi.right), SortedValuation())
+
+
 @pytest.mark.parametrize("phi, v, expected", [
     (FOr(Eq("g", "g", G), PredA("p", "h")), {"g": "a1"}, True),
     (FAnd(Not(Eq("g", "g", G)), PredA("p", "zz")), {"g": "a1"}, False),
