@@ -7,10 +7,10 @@ The parent's committed files are unpacked with ``git archive`` (the helper
 of ``ab_bench.py``). Each side then runs in its own process: it imports
 the package from its checkout's ``src`` and the workload from its
 ``bench``, builds the items as ``bench/run.py`` does, and runs every item
-in-process ``--passes`` times, keeping each item's minimum. Nothing under
-``bench/`` is changed.
+in-process ``PASSES`` times through ``bench/run.py``'s ``Tally``, keeping
+each item's minimum. Nothing under ``bench/`` is changed.
 
-It prints the slowest items (by the slower side), the worst per-item
+It prints the ``TOP`` slowest items (by the slower side), the worst per-item
 change/parent ratio over all items and over those slowest ones, and the
 totals. A regression confined to a few large items (the tail) shows here
 even when ``items_per_s`` improves.
@@ -29,55 +29,47 @@ import statistics
 import subprocess
 import sys
 import tempfile
-import time
-import traceback
 
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 from ab_bench import ROOT, unpack  # noqa: E402
 
+PASSES = 3  # each item's time is its minimum over this many in-process runs
+TOP = 10    # the slowest items printed
 
-def measure(checkout: str, workload: str, seed: int, passes: int) -> dict:
-    """Per-item minimum seconds over ``passes`` passes, in item order."""
-    sys.path[:0] = [os.path.join(checkout, "src"), os.path.join(checkout, "bench")]
+
+def measure(checkout: str, workload: str, seed: int) -> dict:
+    """Per-item minimum seconds over ``PASSES`` passes, in item order."""
+    sys.path.insert(0, os.path.join(checkout, "bench"))
+    import run  # the checkout's bench/run.py: package import, caps, item runner
+    run._import_package()
     import inputs as gen
-    import polarity_mc
-    src = os.path.realpath(os.path.join(checkout, "src"))
-    if not os.path.realpath(polarity_mc.__file__).startswith(src + os.sep):
-        raise RuntimeError(f"polarity_mc imported from {polarity_mc.__file__}, not {src}")
-    from polarity_mc.config import ENV_VAR, Caps
     from spans import API, plain_api
     from workloads import WORKLOADS
-    os.environ.pop(ENV_VAR, None)
+    caps, _ = run._clear_caps_env()
     work = WORKLOADS[workload]
     modules = {name: importlib.import_module(f"polarity_mc.{name}") for name in API}
     workdir = tempfile.mkdtemp(prefix="item-times-")
     try:
         data = work.make_inputs(random.Random(seed), "full")
-        items = work.prepare(data, workdir, Caps.from_env())
+        items = work.prepare(data, workdir, caps)
         gc.collect()
         gc.freeze()
         api = plain_api(modules)
-        best = [float("inf")] * len(items)
-        failed = 0
-        for _ in range(passes):
-            for i, item in enumerate(items):
-                start = time.perf_counter()
-                try:
-                    bad = item(api)
-                except Exception:  # counted like bench/run.py does, not fatal
-                    if not failed:
-                        traceback.print_exc(file=sys.stderr)
-                    bad = 1
-                best[i] = min(best[i], time.perf_counter() - start)
-                failed += bool(bad)
+        tally = run.Tally()
+        for _ in range(PASSES):
+            for item in items:
+                tally.run(item, api)
     finally:
         shutil.rmtree(workdir, ignore_errors=True)
+    n = len(items)
     pattern = getattr(work, "PATTERN", ["item"])
-    return {"digest": gen.digest(data), "failed": failed, "times": best,
-            "labels": [pattern[i % len(pattern)] for i in range(len(items))]}
+    return {"digest": gen.digest(data), "failed": tally.failed,
+            "mismatches": tally.mismatches,
+            "times": [min(tally.latencies_ns[i::n]) / 1e9 for i in range(n)],
+            "labels": [pattern[i % len(pattern)] for i in range(n)]}
 
 
-def summarize(parent, change, labels, top: int = 10) -> dict:
+def summarize(parent, change, labels, top: int = TOP) -> dict:
     """The ``top`` slowest items by the slower side, and the worst per-item
     change/parent ratio over all items and over those slowest ones.
 
@@ -101,7 +93,7 @@ def summarize(parent, change, labels, top: int = 10) -> dict:
 def run_side(checkout: str, args) -> dict:
     proc = subprocess.run(
         [sys.executable, os.path.abspath(__file__), "--measure", checkout,
-         "--workload", args.workload, "--seed", str(args.seed), "--passes", str(args.passes)],
+         "--workload", args.workload, "--seed", str(args.seed)],
         capture_output=True, text=True)
     if proc.returncode != 0:
         raise RuntimeError(f"measuring {checkout} failed (exit {proc.returncode}):\n{proc.stderr}")
@@ -118,12 +110,10 @@ def main(argv=None) -> int:
     parser.add_argument("--parent", help="git revision to compare against")
     parser.add_argument("--workload", required=True)
     parser.add_argument("--seed", type=int, required=True)
-    parser.add_argument("--passes", type=int, default=3)
-    parser.add_argument("--top", type=int, default=10)
     parser.add_argument("--measure", metavar="CHECKOUT", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.measure:
-        print(json.dumps(measure(args.measure, args.workload, args.seed, args.passes)))
+        print(json.dumps(measure(args.measure, args.workload, args.seed)))
         return 0
     if not args.parent:
         parser.error("--parent is required")
@@ -135,11 +125,12 @@ def main(argv=None) -> int:
     finally:
         shutil.rmtree(tmp, ignore_errors=True)
     parent, change = sides["parent"], sides["change"]
-    s = summarize(parent["times"], change["times"], change["labels"], args.top)
+    s = summarize(parent["times"], change["times"], change["labels"])
     print(f"workload {args.workload}, seed {args.seed}, {s['items']} items, minimum of "
-          f"{args.passes} passes per item, parent {args.parent}")
+          f"{PASSES} passes per item, parent {args.parent}")
     for name, side in sides.items():
-        print(f"  {name}: failed item runs {side['failed']}, input digest {side['digest']}")
+        print(f"  {name}: failed item runs {side['failed']}, mismatches {side['mismatches']}, "
+              f"input digest {side['digest']}")
     if parent["digest"] != change["digest"]:
         print("  warning: the two sides ran different inputs")
     print(f"  total: parent {s['total'][0]:.3f} s, change {s['total'][1]:.3f} s; "

@@ -424,6 +424,15 @@ def dia_map_reference(model: LEModel, lat: ConceptLattice) -> Tuple[int, ...]:
     return tuple(out)
 
 
+def incompatible_model() -> LEModel:
+    """A model whose operators are not Galois-stable. I is empty, so the
+    stable object sets are {} and {a, b}; the R_box column of x and the
+    R_dia column of a are {a} and {x}, not stable."""
+    pol = Polarity.make(["a", "b"], ["x", "y"], [])
+    return LEModel.make(pol, [("a", "x"), ("a", "y")], [("x", "a"), ("x", "b")],
+                        {"p": Concept(frozenset({"a", "b"}), frozenset())})
+
+
 def validate_reference(model: LEModel) -> List[Tuple[str, str, FrozenSet[str], FrozenSet[str]]]:
     """The violations of the LE-model conditions as (kind, subject, found,
     expected), in report order, read off the relation pair sets directly."""

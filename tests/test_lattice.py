@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from polarity_mc import (CapExceeded, Concept, Filter, Ideal, LEModel,
                          Polarity, all_filters, all_ideals, box_op,
                          concept_lattice, dia_op, enumerate_formulas,
-                         filter_ideal_extension, lift_kripke,
+                         filter_ideal_extension, hm_check, lift_kripke,
                          modal_equiv_oracle, principal_filter,
                          principal_ideal, validate_model)
 from polarity_mc.lattice import _complex_algebra, _concept_masks, operator_maps
@@ -16,7 +16,7 @@ from polarity_mc.randgen import random_kripke, random_le_model
 from polarity_mc.semantics import sat_sets
 
 from oracles import (box_map_reference, brute_concepts, brute_filters,
-                     dia_map_reference, set_down)
+                     dia_map_reference, incompatible_model, set_down)
 from test_model import polarities
 
 
@@ -143,20 +143,6 @@ def test_operators_preserve_meets_and_joins(battery_models):
                 lat.join(dia_op(model, c), dia_op(model, d))
 
 
-def test_operator_maps_match_pair_sets(all_fixture_models, battery_models):
-    # box/dia index maps against the same operators read off the R_box and
-    # R_dia pair sets, cell by cell
-    rng = random.Random(11)
-    lifted = [lift_kripke(random_kripke(rng, max_worlds=n))
-              for n in range(1, 7) for _ in range(3)]
-    models = list(all_fixture_models.values()) + battery_models + lifted
-    for model in models:
-        lat = concept_lattice(model.polarity)
-        box_map, dia_map = operator_maps(model, lat)
-        assert box_map == box_map_reference(model, lat)
-        assert dia_map == dia_map_reference(model, lat)
-
-
 def _empty_carrier_models():
     # one side empty, then both; I is then empty and both relations too
     out = []
@@ -168,52 +154,60 @@ def _empty_carrier_models():
     return out
 
 
-def test_complex_algebra_matches_brute_force(all_fixture_models, battery_models):
-    # the unordered mask algebra the oracle closes over: its concepts are
-    # brute_concepts, its intent/extent maps inverse, and its box and
-    # diamond the pair-set references
-    rng = random.Random(18)
+def test_operator_maps_match_pair_sets(all_fixture_models, battery_models):
+    # box/dia index maps against the same operators read off the R_box and
+    # R_dia pair sets, cell by cell; and the unordered mask algebra both
+    # come from (the one the oracle closes over): its concepts are
+    # brute_concepts, its intent/extent maps inverse, its box and diamond
+    # the same references
+    rng = random.Random(11)
     lifted = [lift_kripke(random_kripke(rng, max_worlds=n))
-              for n in range(1, 7) for _ in range(4)]
+              for n in range(1, 7) for _ in range(3)]
     models = (list(all_fixture_models.values()) + battery_models + lifted
               + _empty_carrier_models())
     for model in models:
         pol = model.polarity
+        lat = concept_lattice(pol)
+        box_map, dia_map = operator_maps(model, lat)
+        assert box_map == box_map_reference(model, lat)
+        assert dia_map == dia_map_reference(model, lat)
+
         objs, attrs = pol.bits.objs, pol.bits.attrs
         alg = _complex_algebra(model, _concept_masks(pol))
         assert {(objs.members(e), attrs.members(t)) for e, t in alg.intent.items()} \
             == brute_concepts(pol)
         assert alg.extent == {t: e for e, t in alg.intent.items()}
         assert len(alg.extent) == len(alg.intent)
-        lat = concept_lattice(pol)
         ext = lat._extents
         assert set(ext) == set(alg.intent)
-        assert [alg.box[e] for e in ext] == [ext[i] for i in box_map_reference(model, lat)]
-        assert [alg.dia[e] for e in ext] == [ext[i] for i in dia_map_reference(model, lat)]
-
-
-def _incompatible_model():
-    # I is empty, so the stable object sets are {} and {a, b}; the R_box
-    # column of x and the R_dia column of a are {a} and {x}, not stable
-    pol = Polarity.make(["a", "b"], ["x", "y"], [])
-    return LEModel.make(pol, [("a", "x"), ("a", "y")], [("x", "a"), ("x", "b")],
-                        {"p": Concept(frozenset({"a", "b"}), frozenset())})
+        assert [alg.box[e] for e in ext] == [ext[i] for i in box_map]
+        assert [alg.dia[e] for e in ext] == [ext[i] for i in dia_map]
 
 
 def test_invalid_model_operators_raise():
-    model = _incompatible_model()
+    model = incompatible_model()
     assert {v.kind for v in validate_model(model)} == {"r_box_col", "r_dia_col"}
     lat = concept_lattice(model.polarity)
-    with pytest.raises(ValueError, match="not Galois-stable"):
+    msg = r"^box of concept 0 is not Galois-stable: the model is not I-compatible$"
+    with pytest.raises(ValueError, match=msg):
         operator_maps(model, lat)
     with pytest.raises(ValueError, match="not Galois-stable"):
         filter_ideal_extension(model)
-    with pytest.raises(ValueError, match="not Galois-stable"):
+    with pytest.raises(ValueError, match=msg):
         modal_equiv_oracle(model, model)
+    with pytest.raises(ValueError, match=msg):
+        hm_check(model, model)
+    # an unstable operator image is reported before a bad valuation entry
+    bad_val = LEModel(model.polarity, model.r_box, model.r_dia,
+                      {"p": Concept(frozenset({"a"}), frozenset())})
+    with pytest.raises(ValueError, match=msg):
+        modal_equiv_oracle(bad_val, bad_val)
     # the diamond alone: a compatible R_box leaves only dia unstable
     only_dia = LEModel(model.polarity, frozenset(), model.r_dia, model.valuation)
     with pytest.raises(ValueError, match="dia of concept 1"):
         operator_maps(only_dia, lat)
+    with pytest.raises(ValueError, match=r"^dia of concept 1 is not Galois-stable"):
+        modal_equiv_oracle(only_dia, only_dia)
 
 
 def test_operators_land_on_concepts(battery_models):

@@ -20,7 +20,7 @@ from polarity_mc.simrel import SimPair, greatest_simulation_rounds
 
 from oracles import (all_bisimulations_union, all_simulations_union,
                      enumeration_relations, greatest_classical_bisim,
-                     is_classical_bisim, kpower_functions,
+                     incompatible_model, is_classical_bisim, kpower_functions,
                      simulation_violations_reference)
 
 EMPTY = SimPair(frozenset(), frozenset())
@@ -270,14 +270,6 @@ def test_oracle_reflexive_on_same_model(all_fixture_models):
             assert (x, x) in rep.forward_x
 
 
-def _unstable_model():
-    # I is empty, so only {} and {a, b} are extents; R_box's column at x is
-    # {a}, so the box of the bottom concept is not Galois-stable
-    pol = Polarity.make(["a", "b"], ["x", "y"], [])
-    return LEModel.make(pol, [("a", "x"), ("a", "y")], [("x", "a"), ("x", "b")],
-                        {"p": Concept(frozenset({"a", "b"}), frozenset())})
-
-
 def test_oracle_error_contract(fig1_m1):
     # the cap is checked on both models before any other work, left first
     small = LEModel.make(Polarity.make(["a"], ["x"], []), [], [],
@@ -287,7 +279,8 @@ def test_oracle_error_contract(fig1_m1):
         modal_equiv_oracle(fig1_m1, small, cap=3)
     with pytest.raises(CapExceeded, match=r"^\|A\| \+ \|X\| = 4 exceeds the lattice cap 3$"):
         modal_equiv_oracle(small, fig1_m1, cap=3)
-    unstable = _unstable_model()
+    # the cap comes before the Galois-stability check
+    unstable = incompatible_model()
     big = LEModel.make(Polarity.make(["a", "b", "c"], ["x", "y"], []), [], [],
                        dict(unstable.valuation, p=Concept(frozenset(), frozenset({"x", "y"}))))
     with pytest.raises(CapExceeded, match="= 5 exceeds the lattice cap 4"):
@@ -302,20 +295,6 @@ def test_oracle_error_contract(fig1_m1):
     for m1, m2 in ((not_concept, fine), (fine, not_concept)):
         with pytest.raises(ValueError, match=r"^not a concept of this lattice: \['b'\]$"):
             modal_equiv_oracle(m1, m2)
-
-    # an unstable operator image is reported before a bad valuation entry
-    msg = r"^box of concept 0 is not Galois-stable: the model is not I-compatible$"
-    with pytest.raises(ValueError, match=msg):
-        modal_equiv_oracle(unstable, unstable)
-    bad_val = LEModel(unstable.polarity, unstable.r_box, unstable.r_dia,
-                      {"p": Concept(frozenset({"a"}), frozenset())})
-    with pytest.raises(ValueError, match=msg):
-        modal_equiv_oracle(bad_val, bad_val)
-    only_dia = LEModel(unstable.polarity, frozenset(), unstable.r_dia, unstable.valuation)
-    with pytest.raises(ValueError, match=r"^dia of concept 1 is not Galois-stable"):
-        modal_equiv_oracle(only_dia, only_dia)
-    with pytest.raises(ValueError, match=msg):
-        hm_check(unstable, unstable)
 
 
 def test_oracle_matches_enumeration(battery_pairs):
