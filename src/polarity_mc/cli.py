@@ -20,8 +20,7 @@ from .lattice import CapExceeded, concept_lattice, filter_ideal_extension
 from .model import SortError, lift_kripke, validate_model
 from .modelio import (ModelFormatError, load_kripke, load_model, model_to_dict,
                       save_model)
-from .semantics import (SortedValuation, UnknownVariable, extension,
-                        models_sequent, satisfies_a, satisfies_x)
+from .semantics import UnknownVariable, models_sequent, satisfies_a, satisfies_x
 from .simrel import (SimPair, bisimilar_points, greatest_bisimulation,
                      greatest_simulation, hm_check, ultrapower_principal)
 
@@ -324,6 +323,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (ParseError, ModelFormatError, SortError, CapExceeded,
             UnknownVariable, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except RecursionError:
+        print("error: input nested too deeply", file=sys.stderr)
         return 2
 
 

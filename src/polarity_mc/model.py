@@ -14,7 +14,7 @@ names appear only where results are returned.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
 Pair = Tuple[str, str]
@@ -287,9 +287,6 @@ class LEModel:
     @property
     def attributes(self) -> Tuple[str, ...]:
         return self.polarity.attributes
-
-    def variables(self) -> Tuple[str, ...]:
-        return tuple(sorted(self.valuation))
 
     @property
     def bits(self) -> ModelBits:

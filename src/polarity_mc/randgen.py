@@ -9,7 +9,7 @@ terminates.
 from __future__ import annotations
 
 import random
-from typing import Optional, Sequence, Tuple
+from typing import Sequence, Tuple
 
 from .model import Concept, KripkeModel, LEModel, Polarity, validate_model
 

@@ -160,33 +160,7 @@ def enumeration_relations(m1: LEModel, m2: LEModel,
     left model to the right one.
     """
     e1, e2 = ClauseEvaluator(m1), ClauseEvaluator(m2)
-    quads = {(e1.sets(f), e2.sets(f)) for f in formulas}
-    fwd_a = {(a1, i1): e2.full_a for i1, a1 in enumerate(e1.objects)}
-    bwd_a = {(a2, i2): e1.full_a for i2, a2 in enumerate(e2.objects)}
-    fwd_x = {(x1, i1): e2.full_x for i1, x1 in enumerate(e1.attributes)}
-    bwd_x = {(x2, i2): e1.full_x for i2, x2 in enumerate(e2.attributes)}
-    for (a1m, x1m), (a2m, x2m) in quads:
-        for key in fwd_a:
-            if a1m >> key[1] & 1:
-                fwd_a[key] &= a2m
-        for key in bwd_a:
-            if a2m >> key[1] & 1:
-                bwd_a[key] &= a1m
-        for key in fwd_x:
-            if x1m >> key[1] & 1:
-                fwd_x[key] &= x2m
-        for key in bwd_x:
-            if x2m >> key[1] & 1:
-                bwd_x[key] &= x1m
-    forward_a = frozenset((a1, a2) for (a1, _), mask in fwd_a.items()
-                          for a2 in e2.object_names(mask))
-    backward_a = frozenset((a1, a2) for (a2, _), mask in bwd_a.items()
-                           for a1 in e1.object_names(mask))
-    forward_x = frozenset((x1, x2) for (x1, _), mask in fwd_x.items()
-                          for x2 in e2.attribute_names(mask))
-    backward_x = frozenset((x1, x2) for (x2, _), mask in bwd_x.items()
-                           for x1 in e1.attribute_names(mask))
-    return forward_a, forward_x, backward_a, backward_x
+    return relations_from_quads(m1, m2, {(e1.sets(f), e2.sets(f)) for f in formulas})
 
 
 def semantic_quadruples(m1: LEModel, m2: LEModel, vocab: Sequence[str],

@@ -204,6 +204,18 @@ def test_outputs_byte_identical_across_runs(capsys):
     assert first == second
 
 
+def test_deep_nesting_is_exit_2(capsys):
+    deep = "(" * 250 + "p" + ")" * 250
+    code, out, err = run_cli(capsys, "parse", "--formula", deep)
+    assert code == 2 and out == ""
+    assert err == "error: input nested too deeply\n"
+    code, out, err = run_cli(capsys, "sat", "--model", fixture_path("chain3.json"),
+                             "--point", "a", "--side", "a",
+                             "--formula", "box " * 1200 + "p")
+    assert code == 2 and out == ""
+    assert err == "error: input nested too deeply\n"
+
+
 def test_validate_rejects_malformed_schema(capsys, tmp_path):
     from test_model import MALFORMED_MODELS
     for name, data in sorted(MALFORMED_MODELS.items()):

@@ -16,7 +16,7 @@ from polarity_mc.formula import BOT, TOP, Var
 from polarity_mc.fol import G, M, AtomI, AtomRbox, AtomRdia, PredA, PredX, st_g
 from polarity_mc.randgen import random_kripke, random_le_model, random_sim_pair
 from polarity_mc.semantics import SortedValuation, fol_eval, sat_sets, satisfies_a
-from polarity_mc.simrel import SimPair, greatest_simulation_rounds
+from polarity_mc.simrel import SimPair, _MaskContext, _refine
 
 from oracles import (all_bisimulations_union, all_simulations_union,
                      enumeration_relations, greatest_classical_bisim,
@@ -203,7 +203,8 @@ def test_minimality_spot_check(battery_pairs):
 
 def test_refinement_round_bound(battery_pairs):
     for m1, m2 in battery_pairs[:60]:
-        _, rounds = greatest_simulation_rounds(m1, m2)
+        ctx = _MaskContext(m1, m2)
+        _, _, rounds = _refine(ctx, list(ctx.s0), list(ctx.t0), bisim=False)
         bound = (len(m1.objects) * len(m2.objects)
                  + len(m1.attributes) * len(m2.attributes))
         assert rounds <= bound + 1  # final confirming round included
@@ -480,6 +481,17 @@ def test_ultrapower_parameter_validation(fig1_m1):
         ultrapower_principal(fig1_m1, 2, 2)
     with pytest.raises(CapExceeded):
         ultrapower_principal(fig1_m1, 3, 0, cap=7)
+
+
+def test_ultrapower_cap_check_does_not_build_the_power(chain3):
+    # 2^(10^18) would not fit in memory: the check must stop multiplying
+    # once the product passes the cap
+    with pytest.raises(CapExceeded, match=r"K-power carrier 2\^1000000000000000000 exceeds cap 4096"):
+        ultrapower_principal(chain3, 10**18, 0)
+    pol = Polarity.make(["a"], ["x"], [])
+    single = LEModel.make(pol, [], [], {"p": Concept(frozenset({"a"}), frozenset())})
+    power = ultrapower_principal(single, 10**18, 5)
+    assert power.model.objects == ("[a]",) and power.k == 10**18
 
 
 def _los_atomic_battery(model, power, k, k0):
